@@ -46,7 +46,7 @@ QUERIES = ["fingerprint", "project", "fingerprint AND project",
 def build_world(backend: str) -> HacShell:
     factory = (ClusterFactory(shards=3, latency=0.0)
                if backend == "cluster" else None)
-    shell = HacShell(HacFileSystem(engine_factory=factory))
+    shell = HacShell(HacFileSystem(backend=factory))
     hac = shell.hacfs
     hac.makedirs("/mail")
     gen = MailGenerator()

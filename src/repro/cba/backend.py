@@ -141,11 +141,11 @@ class MonolithFactory:
 
     The callable-plus-``from_obj`` shape mirrors
     :class:`~repro.cluster.ClusterFactory`, so ``HacFileSystem`` (and
-    ``restore``) drive every backend kind through one seam.
+    ``restore``) drive every backend kind through one seam.  Only the
+    monolith also restores from a persisted segment list
+    (:meth:`from_segments`): it is the one engine whose store its file
+    system persists.
     """
-
-    def __init__(self, segmented: bool = True):
-        self.segmented = segmented
 
     def __call__(self, loader, *, counters=None, clock=None, transducer=None,
                  num_blocks: int = 64, fast_path: bool = True):
@@ -154,8 +154,7 @@ class MonolithFactory:
 
         return CBAEngine(loader=loader, num_blocks=num_blocks,
                          transducer=transducer or default_transducer,
-                         counters=counters, fast_path=fast_path,
-                         segmented=self.segmented)
+                         counters=counters, fast_path=fast_path)
 
     def from_obj(self, obj, *, loader, counters=None, clock=None,
                  transducer=None, fast_path: bool = True):
@@ -164,8 +163,18 @@ class MonolithFactory:
 
         return CBAEngine.from_obj(obj, loader=loader,
                                   transducer=transducer or default_transducer,
-                                  counters=counters, fast_path=fast_path,
-                                  segmented=self.segmented)
+                                  counters=counters, fast_path=fast_path)
+
+    def from_segments(self, store, *, loader, next_doc_id: int = 0,
+                      counters=None, clock=None, transducer=None,
+                      num_blocks: int = 64, fast_path: bool = True):
+        from repro.cba.engine import CBAEngine
+        from repro.cba.transducers import default_transducer
+
+        return CBAEngine.from_segments(
+            store, loader=loader, next_doc_id=next_doc_id,
+            transducer=transducer or default_transducer, counters=counters,
+            fast_path=fast_path, num_blocks=num_blocks)
 
 
 def open_backend(spec, **options):
@@ -189,7 +198,7 @@ def open_backend(spec, **options):
     * an already-built factory/namespace passes through unchanged.
 
     Keyword *options* are forwarded to the underlying constructor
-    (``shards=``, ``latency=``, ``documents=``, ``segmented=``, ...).
+    (``shards=``, ``latency=``, ``documents=``, ...).
     """
     if spec is None:
         return MonolithFactory(**options)

@@ -67,26 +67,6 @@ class Document(NamedTuple):
     size: int
 
 
-class IndexOp(NamedTuple):
-    """One primary-engine mutation, as shipped to read replicas.
-
-    Ops carry the *term set the primary computed* and the *text it
-    indexed*, so replica catch-up never re-tokenises and never re-reads
-    the live tree — replay is pure index manipulation against frozen
-    inputs.  Emitted only while at least one replica is attached (the op
-    buffer stays empty otherwise, keeping ``publish`` free for eager
-    mode's per-write drains).
-    """
-
-    kind: str                       # 'index' | 'update' | 'remove' | 'rename'
-    doc_id: int
-    key: Hashable
-    path: str
-    mtime: float
-    terms: Optional[Set[str]] = None
-    text: Optional[str] = None
-
-
 class CBAEngine:
     """Glimpse-style content-based access over externally stored documents.
 
@@ -102,7 +82,6 @@ class CBAEngine:
                  cache_size: int = 64,
                  counters: Optional[Counters] = None,
                  fast_path: bool = True,
-                 segmented: bool = False,
                  cas: bool = True):
         self.loader = loader
         self.counters = counters if counters is not None else Counters()
@@ -144,19 +123,17 @@ class CBAEngine:
         #: functions of (text, pairs), so they survive until the doc mutates
         self._verify_memo: Dict[int, Dict[Node, Tuple[float, bool]]] = {}
         self._memo_entries = 0
-        # serving tier: the published snapshot version, attached read
-        # replicas, and the op log replicas replay at publish time (empty
-        # while no replica is attached — see IndexOp)
+        # serving tier: the published snapshot version and attached
+        # read replicas
         self._published_version = 0
         self._replicas: List = []
-        self._pending_ops: List[IndexOp] = []
         self._route_rr = 0
-        # segmented storage plane (LSM-style memtable + frozen segments);
-        # the in-memory aggregates above still answer every query, so the
-        # toggle cannot change a single search result — it changes how
-        # mutations are persisted, published, and recovered
-        self.segments: Optional[SegmentStore] = (
-            SegmentStore(counters=self.counters) if segmented else None)
+        # the index change log (LSM-style memtable + segments) replicas
+        # catch up from and an owning file system persists; the in-memory
+        # aggregates above still answer every query, so the log cannot
+        # change a single search result.  Rows are noted only while a
+        # replica or a persisting owner will read them (see _emit).
+        self.segments = SegmentStore(counters=self.counters)
         # Content-and-Structure index: the path dimension interleaved
         # with the term dimension, maintained in lockstep with the
         # registry.  An accelerator, never an authority — scope terms
@@ -765,59 +742,56 @@ class CBAEngine:
     def _emit(self, kind: str, doc_id: int, key: Hashable, path: str,
               mtime: float, terms: Optional[Set[str]] = None,
               text: Optional[str] = None) -> None:
-        if self.segments is not None:
-            # the memtable subsumes the op log: replicas catch up from
-            # sealed segments, persistence folds them, so every mutation
-            # is noted regardless of whether a replica is attached
+        # rows are noted only when something will read them: an attached
+        # replica (catch-up) or the owner persisting the store (recovery).
+        # A standalone engine buffers nothing, so publish stays a version
+        # bump for eager mode's per-write drains.
+        if self._replicas or self.segments.durable:
             self.segments.note(kind, doc_id, key, path, mtime, terms, text)
-        elif self._replicas:
-            self._pending_ops.append(
-                IndexOp(kind, doc_id, key, path, mtime, terms, text))
+
+    def claim_segments(self) -> None:
+        """Mark this engine's store durable: its owner persists it.
+
+        From here on every mutation is noted and every seal joins the
+        frozen list.  Documents indexed before the claim get a base
+        segment, so later compactions and segment restores have an
+        upsert row for every live document.  Idempotent.
+        """
+        store = self.segments
+        if not store.durable:
+            store.durable = True
+            if not store.frozen:
+                store.seed_base(self.doc_rows())
 
     def publish(self) -> int:
         """Publish the current index state as the next snapshot version.
 
-        Replicas that are not deliberately lagged replay the buffered op
-        log and stamp the new version; the fully-applied prefix of the
-        buffer is then truncated (lagged replicas pin their suffix).
-        With the segmented store, the memtable is sealed (an exact
-        snapshot cut) and replicas are handed the frozen segments
-        appended since their cursor instead of replaying ops — the
-        sealed log is truncated at the min cursor the same way.
-        Returns the new version.
+        With replicas attached the memtable is sealed (an exact snapshot
+        cut) and every replica that is not deliberately lagged is handed
+        the segments sealed since its cursor; the fully-applied prefix of
+        the sealed log is then truncated (lagged replicas pin their
+        suffix).  Returns the new version.
         """
         self._published_version += 1
         version = self._published_version
-        if self._replicas and self.segments is not None:
-            self.segments.seal()
-            log = self.segments.sealed_log
-            upto = len(log)
+        store = self.segments
+        if self._replicas:
+            store.seal()
+            upto = len(store.sealed_log)
             for replica in self._replicas:
                 if replica.lag > 0:
                     replica.lag -= 1
                     continue
-                replica.apply_segments(log, upto, version)
+                replica.apply_segments(store.sealed_log, upto, version)
             low = min(r.cursor for r in self._replicas)
             if low:
-                self.segments.truncate_log(low)
+                store.truncate_log(low)
                 for replica in self._replicas:
                     replica.cursor -= low
-        elif self.segments is not None:
+        else:
             # nobody consumes the sealed log without replicas; drop it
             # (a later attach starts its cursor at the log tail anyway)
-            self.segments.truncate_log(len(self.segments.sealed_log))
-        elif self._replicas:
-            upto = len(self._pending_ops)
-            for replica in self._replicas:
-                if replica.lag > 0:
-                    replica.lag -= 1
-                    continue
-                replica.apply(self._pending_ops, upto, version)
-            low = min(r.cursor for r in self._replicas)
-            if low:
-                del self._pending_ops[:low]
-                for replica in self._replicas:
-                    replica.cursor -= low
+            store.truncate_log(len(store.sealed_log))
         self._stats.add("publishes")
         return version
 
@@ -826,8 +800,9 @@ class CBAEngine:
 
         Hydration copies the engine's current state — between drains the
         engine is at rest at the last published version, so the replica
-        starts consistent with it; its op-log cursor starts at the
-        buffer's tail so the next publish replays only what it missed.
+        starts consistent with it.  Live state includes the memtable's
+        unsealed rows, so its cursor starts at the sealed log's tail and
+        the next publish hands it only what it missed.
         """
         from repro.cba.snapshot import ReadReplica
 
@@ -835,12 +810,7 @@ class CBAEngine:
             replica_id = f"r{len(self._replicas)}"
         replica = ReadReplica(replica_id, self)
         replica.hydrate(self, self._published_version)
-        if self.segments is not None:
-            # hydration copies live state, which includes the memtable's
-            # unsealed rows — the replica is current past the whole log
-            replica.cursor = len(self.segments.sealed_log)
-        else:
-            replica.cursor = len(self._pending_ops)
+        replica.cursor = len(self.segments.sealed_log)
         replica.lag = lag
         self._replicas.append(replica)
         self._stats.add("replicas_attached")
@@ -867,24 +837,20 @@ class CBAEngine:
         return candidates[self._route_rr % len(candidates)]
 
     def snapshot_info(self) -> Dict[str, object]:
-        """Published version, buffered op count, and per-replica state.
+        """Published version, buffered row count, and per-replica state.
 
-        Under the segmented store "pending" counts memtable rows plus
-        sealed rows some replica has yet to apply, and the live frozen
-        segment count is reported alongside.
+        "pending" counts memtable rows plus sealed rows some replica has
+        yet to apply; the live frozen segment count is reported alongside.
         """
-        info = {
+        store = self.segments
+        return {
             "version": self._published_version,
-            "pending_ops": len(self._pending_ops),
+            "pending_ops": (len(store.memtable)
+                            + sum(len(s) for s in store.sealed_log)),
             "replicas": [{"id": r.replica_id, "version": r.version,
                           "lag": r.lag} for r in self._replicas],
+            "segments": len(store.frozen),
         }
-        if self.segments is not None:
-            info["pending_ops"] = (
-                len(self.segments.memtable)
-                + sum(len(s) for s in self.segments.sealed_log))
-            info["segments"] = len(self.segments.frozen)
-        return info
 
     def set_replica_lag(self, replica_id: str, publishes: int) -> None:
         """Make one replica skip the next *publishes* publishes."""
@@ -953,18 +919,14 @@ class CBAEngine:
                  counters: Optional[Counters] = None,
                  fast_path: bool = True,
                  cache_size: int = 64,
-                 segmented: bool = False,
                  cas: bool = True) -> "CBAEngine":
         """Rebuild an engine from :meth:`to_obj` output without re-reading
-        or re-tokenising a single document.  With *segmented*, a fresh
-        store is attached and seeded with a base segment covering the
-        restored documents, so later compactions and segment restores
-        have an upsert row for every live document.  The CAS index is
-        derived state (registry paths x index terms) and is rebuilt, not
-        persisted."""
+        or re-tokenising a single document.  The CAS index is derived
+        state (registry paths x index terms) and is rebuilt, not
+        persisted; an owner that claims the store later seeds its base
+        segment (:meth:`claim_segments`)."""
         engine = cls(loader=loader, transducer=transducer, counters=counters,
-                     fast_path=fast_path, cache_size=cache_size,
-                     segmented=segmented, cas=cas)
+                     fast_path=fast_path, cache_size=cache_size, cas=cas)
         engine.index = GlimpseIndex.from_obj(obj["index"],
                                              counters=engine.counters,
                                              track_doc_postings=fast_path)
@@ -974,8 +936,6 @@ class CBAEngine:
             engine._docs[doc_id] = Document(doc_id, key, path, mtime, size)
             engine._by_key[key] = doc_id
         engine._next_doc_id = obj["next"]
-        if engine.segments is not None:
-            engine.segments.seed_base(engine.doc_rows())
         engine.rebuild_cas()
         engine._stats.add("restored_docs", len(engine._docs))
         return engine
@@ -1011,8 +971,7 @@ class CBAEngine:
         counter Ablation N's merge-vs-rebuild guard compares)."""
         engine = cls(loader=loader, num_blocks=num_blocks,
                      transducer=transducer, counters=counters,
-                     fast_path=fast_path, cache_size=cache_size,
-                     segmented=True, cas=cas)
+                     fast_path=fast_path, cache_size=cache_size, cas=cas)
         engine.segments = store
         rows = store.live_rows()
         for key, row in sorted(rows.items(), key=lambda kv: kv[1].doc_id):

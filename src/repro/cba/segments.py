@@ -1,34 +1,39 @@
 """LSM-style storage for the Glimpse index: memtable + immutable segments.
 
-The live :class:`~repro.cba.engine.CBAEngine` keeps serving queries from
-its in-memory aggregates — nothing on the read path changes, which is
-what makes the segmented engine trivially bit-identical to the monolith.
-What this module restructures is the *storage and publication* plane:
-every mutation the engine performs is also noted as a :class:`SegmentRow`
-in a small mutable **memtable**; sealing freezes the memtable into an
-immutable, doc-id-sorted :class:`Segment`; and background **compaction**
-folds the frozen segment list into one merged segment, newest row per
-document key winning.  Rows carry the term set the engine computed, so
-every downstream consumer — replica catch-up, compaction, recovery —
-is pure index manipulation: the tokenizer never runs off the write path.
+Every :class:`~repro.cba.engine.CBAEngine` owns a :class:`SegmentStore`,
+and it is the engine's one index change log.  The live engine keeps
+serving queries from its in-memory aggregates — nothing on the read path
+changes.  What this module structures is the *storage and publication*
+plane: each mutation the engine performs is noted as a
+:class:`SegmentRow` in a small mutable **memtable**; sealing freezes the
+memtable into an immutable, doc-id-sorted :class:`Segment`; and
+**compaction** folds the frozen segment list into one merged segment,
+newest row per document key winning.  Rows carry the term set the engine
+computed, so every downstream consumer — replica catch-up, compaction,
+recovery — is pure index manipulation: the tokenizer never runs off the
+write path.
 
-Three consumers share the structure:
+Two consumers read the rows, and the engine notes rows only while one of
+them exists:
 
-* **Persistence** — :class:`~repro.core.hacfs.HacFileSystem` writes each
-  frozen segment as a ``seg:<id>`` device record plus a ``segmanifest``
-  listing the live segment ids, *only inside journal intents* (the
-  scheduler's ``sched_batch`` drains and ``reindex``), so the WAL's
-  pre-images roll a mid-seal or mid-compaction crash back to a
-  consistent segment list.  Serialized segments drop the document text
-  (recovery re-reads through the loader) to keep WAL amplification flat.
-* **Publication** — ``publish()`` seals the memtable and hands replicas
-  the frozen segments appended since their cursor (an append-only sealed
-  log, truncated at the min-cursor like the op log it replaces) instead
-  of replaying per-op deltas.
-* **Recovery** — restore folds the persisted segments back into engine
-  state with **zero tokenisation** (reindex-as-merge); rows that were
-  still in the memtable at the crash are healed by the recovery
-  ``ssync``'s mtime diff, exactly like any other un-reindexed write.
+* **Publication** — while read replicas are attached, ``publish()``
+  seals the memtable and hands replicas the segments appended to the
+  sealed log since their cursor.  The log is truncated at the replicas'
+  min cursor, so a store nobody persists holds at most what its
+  slowest replica has yet to apply.
+* **Persistence and recovery** — the owning
+  :class:`~repro.core.hacfs.HacFileSystem` claims its monolith engine's
+  store (:attr:`SegmentStore.durable`).  Only a durable store keeps a
+  frozen list.  The owner writes each frozen segment as a ``seg:<id>``
+  device record plus a ``segmanifest`` listing the live segment ids,
+  *only inside journal intents* (the scheduler's ``sched_batch`` drains
+  and ``reindex``), so the WAL's pre-images roll a mid-seal or
+  mid-compaction crash back to a consistent segment list.  Serialized
+  segments drop the document text to keep WAL amplification flat.
+  Restore folds the persisted segments back into engine state with
+  **zero tokenisation** (reindex-as-merge); rows still in the memtable
+  at the crash are healed by the recovery ``ssync``'s mtime diff,
+  exactly like any other un-reindexed write.
 
 Compaction policy: seal when the memtable holds ``seal_threshold`` rows
 (or at every publish with replicas attached — the snapshot cut must be
@@ -136,7 +141,8 @@ def _coalesce(prior: Optional[SegmentRow], row: SegmentRow) -> SegmentRow:
 
 
 class SegmentStore:
-    """The memtable + frozen-segment list behind a segmented engine.
+    """The memtable + sealed log (+ frozen list, when durable) behind
+    every engine.
 
     Pure data structure: it never touches the device.  The owning
     :class:`~repro.core.hacfs.HacFileSystem` persists frozen segments
@@ -150,6 +156,9 @@ class SegmentStore:
                  compact_threshold: int = DEFAULT_COMPACT_THRESHOLD):
         #: key → coalesced newest row (insertion-ordered)
         self.memtable: Dict[Hashable, SegmentRow] = {}
+        #: set by the owner that persists this store; only a durable
+        #: store keeps a frozen list (nobody else ever folds it)
+        self.durable = False
         #: the live segment list, oldest first (compaction rewrites it)
         self.frozen: List[Segment] = []
         #: append-only seal order for replica catch-up; truncated at the
@@ -205,9 +214,9 @@ class SegmentStore:
     def seal(self) -> Optional[Segment]:
         """Freeze the memtable into a new immutable segment.
 
-        The segment joins both the live list and the sealed log; returns
-        ``None`` when the memtable is empty (sealing is idempotent at
-        publish boundaries).
+        The segment joins the sealed log and, in a durable store, the
+        live list; returns ``None`` when the memtable is empty (sealing
+        is idempotent at publish boundaries).
         """
         if not self.memtable:
             return None
@@ -216,7 +225,8 @@ class SegmentStore:
         self.memtable.clear()
         seg = Segment(f"s{self._next_seg:06d}", rows)
         self._next_seg += 1
-        self.frozen.append(seg)
+        if self.durable:
+            self.frozen.append(seg)
         self.sealed_log.append(seg)
         self._stats.add("seals")
         self._stats.add("sealed_rows", len(rows))
@@ -291,7 +301,7 @@ class SegmentStore:
     def seed_base(self, rows: Dict[Hashable, SegmentRow]) -> None:
         """Install a synthetic base segment covering *rows*.
 
-        Used when segments are enabled over pre-existing engine state
+        Used when an owner claims a store over pre-existing engine state
         (e.g. a restore from a ``cbaindex`` snapshot): later compactions
         and segment restores need every live document to have an upsert
         row somewhere in the frozen list.

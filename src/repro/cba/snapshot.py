@@ -14,40 +14,42 @@ A snapshot is materialised as a :class:`ReadReplica`: a full private
 :class:`~repro.cba.engine.CBAEngine` (same block count, same fast path)
 over a replica-local text store, so snapshot reads touch **no shared
 state at all** — no scheduler drain, no live-tree loader, no device
-charges against the primary.  Replicas catch up by replaying the
-primary's :class:`~repro.cba.engine.IndexOp` log:
+charges against the primary.  Replicas catch up through one path: the
+segments the primary's :class:`~repro.cba.segments.SegmentStore` seals at
+each publish.
 
-* **No re-tokenisation.**  Ops ship the term set the primary computed, so
-  replica catch-up never runs the tokenizer (``engine.tokenisations``
+* **No re-tokenisation.**  Rows ship the term set the primary computed,
+  so replica catch-up never runs the tokenizer (``engine.tokenisations``
   stays a pure write-side cost, which the Ablation K guards rely on).
-* **Frozen text.**  Ops ship the document text the primary indexed; the
+* **Frozen text.**  Rows ship the document text the primary indexed; the
   replica engine's loader reads it from the replica's own dict.  A scan
   on the snapshot path therefore verifies against the text *as of the
   publish*, even while the live file is being rewritten.
-* **Ops are ground truth.**  The log records mutations the primary
-  *actually performed* (emitted after the index change lands), so replay
+* **Rows are ground truth.**  The store records mutations the primary
+  *actually performed* (noted after the index change lands), so catch-up
   converges even across a failed-and-retried batch: the scheduler's
-  reconciliation re-derives idempotent ops, and the replica applies the
-  same sequence the primary did.
+  reconciliation re-derives idempotent mutations, and the replica folds
+  the same final per-document state the primary reached.
 
-Replicas attach lazily: an engine with no replicas buffers nothing and
-:meth:`~repro.cba.engine.CBAEngine.publish` is a version bump — eager
-mode publishes on every drain without paying anything for it.  A
-replica's ``lag`` knob makes it skip publishes (the freshness-injection
-control the cluster's routing tests use); a lagged replica's cursor into
-the shared op log is preserved, so catch-up replays everything it missed.
+Replicas attach lazily: an engine with no replicas (and no persisting
+owner) notes no rows and :meth:`~repro.cba.engine.CBAEngine.publish` is
+a version bump — eager mode publishes on every drain without paying
+anything for it.  A replica's ``lag`` knob makes it skip publishes (the
+freshness-injection control the cluster's routing tests use); a lagged
+replica's cursor into the shared sealed log is preserved, so catch-up
+folds everything it missed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, Optional
 
 from repro.util.bitmap import Bitmap
 from repro.util.stats import Counters
-from repro.cba.engine import CBAEngine, Document, IndexOp
+from repro.cba.engine import CBAEngine, Document
 from repro.cba.glimpse import GlimpseIndex
 
-__all__ = ["IndexOp", "ReadReplica"]
+__all__ = ["ReadReplica"]
 
 
 class ReadReplica:
@@ -78,9 +80,10 @@ class ReadReplica:
                                 cas=primary.cas is not None)
         #: last published version this replica has applied
         self.version = 0
-        #: index into the primary's shared op log (ops before it are applied)
+        #: index into the primary's sealed log (segments before it are
+        #: applied)
         self.cursor = 0
-        #: publishes to skip (staleness injection; catch-up replays them)
+        #: publishes to skip (staleness injection; catch-up folds them)
         self.lag = 0
         self._stats = self.counters.scoped("replica")
 
@@ -117,71 +120,17 @@ class ReadReplica:
         self._stats.add("hydrations")
         self._stats.add("hydrated_docs", len(engine._docs))
 
-    def apply(self, ops: List[IndexOp], upto: int, version: int) -> int:
-        """Replay ``ops[self.cursor:upto]`` and stamp *version*.
-
-        Replay is direct index manipulation — shipped term sets, no
-        tokenizer, no loader — mirroring exactly what the primary's
-        mutation methods did (including the block-exact cache/memo
-        invalidation via ``_note_mutation``).  Returns ops applied.
-        """
-        engine = self.engine
-        applied = 0
-        for op in ops[self.cursor:upto]:
-            if op.kind == "index":
-                grew = engine.index.add(op.doc_id, op.terms)
-                engine._docs[op.doc_id] = Document(
-                    op.doc_id, op.key, op.path, op.mtime,
-                    len(op.text or ""))
-                engine._by_key[op.key] = op.doc_id
-                engine._next_doc_id = max(engine._next_doc_id, op.doc_id + 1)
-                if engine.cas is not None:
-                    engine.cas.upsert(op.doc_id, op.path, op.terms)
-                engine._note_mutation(op.doc_id, grew)
-                self._texts[op.key] = op.text or ""
-            elif op.kind == "update":
-                grew = engine.index.update(op.doc_id, op.terms)
-                engine._docs[op.doc_id] = Document(
-                    op.doc_id, op.key, op.path, op.mtime,
-                    len(op.text or ""))
-                if engine.cas is not None:
-                    engine.cas.upsert(op.doc_id, op.path, op.terms)
-                engine._note_mutation(op.doc_id, grew)
-                self._texts[op.key] = op.text or ""
-            elif op.kind == "remove":
-                engine._by_key.pop(op.key, None)
-                engine._docs.pop(op.doc_id, None)
-                engine.index.remove(op.doc_id)
-                if engine.cas is not None:
-                    engine.cas.remove(op.doc_id)
-                engine._note_mutation(op.doc_id, grew=False)
-                self._texts.pop(op.key, None)
-            elif op.kind == "rename":
-                doc = engine._docs.get(op.doc_id)
-                if doc is not None:
-                    engine._docs[op.doc_id] = doc._replace(path=op.path)
-                    if engine.cas is not None:
-                        engine.cas.set_path(op.doc_id, op.path)
-                    engine._purge_memo(op.doc_id)
-                    engine._purge_scope_cache()
-            else:  # pragma: no cover - emission is closed over four kinds
-                raise ValueError(f"unknown index op kind: {op.kind!r}")
-            applied += 1
-        self.cursor = upto
-        self.version = version
-        self._stats.add("ops_applied", applied)
-        return applied
-
     def apply_segments(self, log, upto: int, version: int) -> int:
         """Catch up from ``log[self.cursor:upto]`` frozen segments.
 
-        The segmented handoff: instead of replaying per-op deltas, the
-        segments' rows are folded newest-wins per document key and only
-        each document's *final* state is applied — an index state is a
-        pure function of the current per-document term sets, so the
-        coalesced apply converges to exactly what replay would have
-        built, in one index mutation per touched document.  Returns rows
-        applied.
+        The segments' rows are folded newest-wins per document key and
+        only each document's *final* state is applied — an index state is
+        a pure function of the current per-document term sets, so the
+        coalesced apply converges to exactly what per-mutation replay
+        would have built, in one index mutation per touched document.
+        Applies mirror what the primary's mutation methods did (including
+        the block-exact cache/memo invalidation via ``_note_mutation``).
+        Returns rows applied.
         """
         from repro.cba.segments import _coalesce
 

@@ -9,8 +9,8 @@ substrate, and merges per-shard bitmaps into answers bit-identical to a
 monolithic engine — degrading to partial results (``missing_shards``)
 when shards are unreachable instead of failing.
 
-:class:`ClusterFactory` adapts the cluster to the ``engine_factory`` seam
-on :class:`~repro.core.hacfs.HacFileSystem`, so semantic directories, the
+:class:`ClusterFactory` adapts the cluster to the ``backend=`` seam on
+:class:`~repro.core.hacfs.HacFileSystem`, so semantic directories, the
 consistency cascade, and ``ssync`` run unchanged against shards.
 """
 
@@ -37,8 +37,8 @@ __all__ = [
 class ClusterFactory:
     """Engine factory building :class:`ShardedSearchCluster` instances.
 
-    Matches the calling convention of ``HacFileSystem(engine_factory=...)``
-    and ``HacFileSystem.restore(engine_factory=...)``: construction
+    Matches the calling convention of ``HacFileSystem(backend=...)`` and
+    ``HacFileSystem.restore(backend=...)``: construction
     parameters that belong to the file system (loader, counters, clock,
     transducer, block count, fast path) arrive per call; cluster topology
     and fault-injection knobs are fixed at factory creation.
@@ -51,7 +51,6 @@ class ClusterFactory:
                  retry_factory: Optional[Callable] = None,
                  breaker_factory: Optional[Callable] = None,
                  replicas_per_shard: int = 1,
-                 segmented: bool = False,
                  cas: bool = True):
         if shard_ids is None:
             shard_ids = [f"shard{i}" for i in range(shards)]
@@ -61,7 +60,6 @@ class ClusterFactory:
         self.retry_factory = retry_factory
         self.breaker_factory = breaker_factory
         self.replicas_per_shard = replicas_per_shard
-        self.segmented = segmented
         self.cas = cas
 
     def __call__(self, loader, *, counters=None, clock=None, transducer=None,
@@ -73,8 +71,7 @@ class ClusterFactory:
             clock=clock, latency=self.latency, seed=self.seed,
             retry_factory=self.retry_factory,
             breaker_factory=self.breaker_factory,
-            replicas_per_shard=self.replicas_per_shard,
-            segmented=self.segmented, cas=self.cas)
+            replicas_per_shard=self.replicas_per_shard, cas=self.cas)
 
     def from_obj(self, obj, *, loader, counters=None, clock=None,
                  transducer=None, fast_path: bool = True
@@ -83,5 +80,4 @@ class ClusterFactory:
             obj, loader, transducer=transducer, counters=counters,
             fast_path=fast_path, clock=clock, latency=self.latency,
             seed=self.seed, retry_factory=self.retry_factory,
-            breaker_factory=self.breaker_factory,
-            segmented=self.segmented, cas=self.cas)
+            breaker_factory=self.breaker_factory, cas=self.cas)

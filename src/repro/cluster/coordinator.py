@@ -299,7 +299,6 @@ class ShardedSearchCluster:
                  breaker_factory: Optional[
                      Callable[[str], CircuitBreaker]] = None,
                  replicas_per_shard: int = 1,
-                 segmented: bool = False,
                  cas: bool = True):
         self.loader = loader
         self.counters = counters if counters is not None else Counters()
@@ -310,9 +309,6 @@ class ShardedSearchCluster:
         self.stopwords = DEFAULT_STOPWORDS if stopwords is None else stopwords
         self.transducer = transducer
         self.fast_path = fast_path
-        #: shard engines keep segmented (memtable + frozen segment)
-        #: storage, so per-shard publishes hand replicas segment lists
-        self.segmented = segmented
         #: shard engines keep a CAS path dimension (subtree scope probes)
         self._cas_enabled = cas
         self.latency = latency
@@ -351,7 +347,7 @@ class ShardedSearchCluster:
                            transducer=self.transducer,
                            cache_size=0,  # answers depend on shipped blocks
                            counters=self.counters, fast_path=self.fast_path,
-                           segmented=self.segmented, cas=self._cas_enabled)
+                           cas=self._cas_enabled)
         engine.tracer = self._tracer
         engine.metrics = self._metrics
         # a shard added mid-life starts at the cluster's published version,
@@ -777,7 +773,7 @@ class ShardedSearchCluster:
         return ClusterSnapshotView(self)
 
     def snapshot_info(self) -> Dict[str, object]:
-        """Cluster version, buffered op counts, and the flat replica list
+        """Cluster version, buffered row counts, and the flat replica list
         (replica ids are ``<shard>:<replica>``)."""
         replicas: List[Dict[str, object]] = []
         shard_versions: Dict[str, int] = {}
@@ -947,7 +943,6 @@ class ShardedSearchCluster:
                  retry_factory: Optional[Callable[[str], RetryPolicy]] = None,
                  breaker_factory: Optional[
                      Callable[[str], CircuitBreaker]] = None,
-                 segmented: bool = False,
                  cas: bool = True
                  ) -> "ShardedSearchCluster":
         """Rebuild a cluster from :meth:`to_obj` output without re-reading
@@ -958,14 +953,13 @@ class ShardedSearchCluster:
                       transducer=transducer, counters=counters,
                       fast_path=fast_path, clock=clock, latency=latency,
                       seed=seed, retry_factory=retry_factory,
-                      breaker_factory=breaker_factory, segmented=segmented,
-                      cas=cas)
+                      breaker_factory=breaker_factory, cas=cas)
         for sid, shard in cluster.shards.items():
             engine = CBAEngine.from_obj(obj["shards"][sid], loader=loader,
                                         transducer=transducer,
                                         counters=cluster.counters,
                                         fast_path=fast_path, cache_size=0,
-                                        segmented=segmented, cas=cas)
+                                        cas=cas)
             # from_obj builds with tokeniser defaults; restore the
             # cluster's configuration for post-restore maintenance
             engine.min_term_length = cluster.min_term_length

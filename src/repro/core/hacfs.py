@@ -45,7 +45,7 @@ from repro.vfs.filesystem import FileSystem, StatResult
 from repro.vfs.inode import FileNode, SymlinkNode
 from repro.vfs.walker import walk
 from repro.cba import agrep
-from repro.cba.engine import CBAEngine
+from repro.cba.backend import MonolithFactory, open_backend
 from repro.cba.incremental import ReindexPlan
 from repro.cba.queryast import content_projection
 from repro.cba.queryparser import parse_query
@@ -65,27 +65,6 @@ from repro.remote.namespace import NameSpace
 from repro.remote.semmount import SemanticMountTable
 
 
-def _resolve_backend(backend, engine_factory):
-    """Fold the deprecated ``engine_factory=`` shim into the unified
-    ``backend=`` seam (one release of :class:`DeprecationWarning`, then
-    the kwarg goes away).  Returns an engine factory or None (the
-    built-in monolith path)."""
-    if engine_factory is not None:
-        import warnings
-
-        warnings.warn(
-            "HacFileSystem(engine_factory=...) is deprecated; pass "
-            "backend=open_backend(spec) (repro.cba.backend) instead",
-            DeprecationWarning, stacklevel=3)
-        if backend is None:
-            return engine_factory
-    if backend is None:
-        return None
-    from repro.cba.backend import open_backend
-
-    return open_backend(backend)
-
-
 class HacFileSystem:
     """A personal name space with both path-name and content-based access."""
 
@@ -96,11 +75,31 @@ class HacFileSystem:
                  attr_cache_capacity: int = 256,
                  fast_path: bool = True,
                  obs: Optional[Observability] = None,
-                 engine_factory=None,
                  path_map: bool = True,
-                 segmented: bool = True,
                  backend=None):
-        engine_factory = _resolve_backend(backend, engine_factory)
+        factory = open_backend(backend)
+        self._assemble(fs, clock, counters, obs, path_map=path_map,
+                       attr_cache_capacity=attr_cache_capacity)
+        # the engine seam: anything honouring the SearchBackend protocol
+        # works here — a ShardedSearchCluster via backend="cluster:K", for
+        # instance (the paper's CBA generality argument, §2.2)
+        engine = factory(loader=self._load_doc, counters=self.counters,
+                         clock=self.clock, transducer=default_transducer,
+                         num_blocks=num_blocks, fast_path=fast_path)
+        # the root's (empty) HAC state — uid 0 is pre-registered in the map
+        self.meta.create(GlobalDirectoryMap.ROOT_UID)
+        self._persist_maps()
+        self._install_engine(engine)
+
+    def _assemble(self, fs: Optional[FileSystem],
+                  clock: Optional[VirtualClock],
+                  counters: Optional[Counters],
+                  obs: Optional[Observability], *,
+                  path_map: bool = True,
+                  attr_cache_capacity: int = 256) -> None:
+        """Build every component except the engine, shared by
+        :meth:`__init__` and :meth:`restore`.  Writes nothing to the
+        device, so ``restore`` can run recovery afterwards."""
         self.counters = counters if counters is not None else Counters()
         self.clock = clock if clock is not None else VirtualClock()
         #: the observability plane — disabled by default; enable with
@@ -119,23 +118,7 @@ class HacFileSystem:
                                tracer=self.obs.trace)
         self.last_recovery = None
         self.depgraph = DependencyGraph()
-        # the engine seam: anything honouring the CBAEngine protocol works
-        # here — a ShardedSearchCluster via repro.cluster.ClusterFactory,
-        # for instance (the paper's CBA generality argument, §2.2)
-        if engine_factory is not None:
-            self.engine = engine_factory(loader=self._load_doc,
-                                         counters=self.counters,
-                                         clock=self.clock,
-                                         transducer=default_transducer,
-                                         num_blocks=num_blocks,
-                                         fast_path=fast_path)
-        else:
-            self.engine = CBAEngine(loader=self._load_doc,
-                                    num_blocks=num_blocks,
-                                    transducer=default_transducer,
-                                    counters=self.counters,
-                                    fast_path=fast_path,
-                                    segmented=segmented)
+        self.engine = None  # _install_engine sets it
         self.semmounts = SemanticMountTable(uid_of=self.dirmap.uid_of,
                                             path_of=self.dirmap.path_of)
         self.scopes = ScopeResolver(self)
@@ -159,12 +142,18 @@ class HacFileSystem:
         self._fs_registry: Dict[str, Tuple[FileSystem, str]] = {
             self.fs.fsid: (self.fs, "")
         }
-        # the root's (empty) HAC state — uid 0 is pre-registered in the map
-        self.meta.create(GlobalDirectoryMap.ROOT_UID)
         #: multi-tenant namespaces over this shared file system; empty
         #: until the first ``tenants.create(...)`` and costs nothing before
         self.tenants = TenantManager(self)
-        self._persist_maps()
+
+    def _install_engine(self, engine) -> None:
+        """Make *engine* this file system's CBA engine.  A monolith
+        engine's segment store is claimed — this file system persists it
+        (``_persist_segments``), so it notes every mutation and keeps a
+        frozen list; a cluster's shards keep theirs replica-only."""
+        self.engine = engine
+        if getattr(engine, "segments", None) is not None:
+            engine.claim_segments()
         self._wire_obs()
 
     # ==================================================================
@@ -920,8 +909,8 @@ class HacFileSystem:
         rolls the whole segment list back to its pre-intent state.  The
         scheduler calls this from every ``sched_batch`` drain
         (threshold-policed); ``reindex`` forces a full seal + merge —
-        reindex *is* compaction in the segmented design.  Engines
-        without a store (clusters, segments-off) make this a no-op.
+        reindex *is* compaction.  A cluster keeps no store at the
+        coordinator, which makes this a no-op.
         """
         store = getattr(self.engine, "segments", None)
         if store is None:
@@ -1047,8 +1036,7 @@ class HacFileSystem:
         # reserved against it, and the new engine re-derives everything
         # from the tree during the ssync below anyway
         self.maintenance.barrier()
-        self.engine = engine
-        self._wire_obs()
+        self._install_engine(engine)
         self.ssync("/")
 
     # ==================================================================
@@ -1095,9 +1083,7 @@ class HacFileSystem:
                 reuse_index: bool = True,
                 fast_path: bool = True,
                 obs: Optional[Observability] = None,
-                engine_factory=None,
-                backend=None,
-                segmented: bool = True) -> "HacFileSystem":
+                backend=None) -> "HacFileSystem":
         """Rebuild a HAC file system from the records persisted on *fs*'s
         device (crash recovery / reopen).
 
@@ -1109,7 +1095,7 @@ class HacFileSystem:
 
         Link classifications and queries come back verbatim; the content
         index is restored from the persisted copy when one exists (see
-        :meth:`save_index`), else — with *segmented* — merged back from
+        :meth:`save_index`), else — for the monolith — merged back from
         the persisted segment list with zero tokenisation
         (reindex-as-merge), and brought current by an incremental sync;
         it is rebuilt from scratch only when neither record exists.  An
@@ -1121,53 +1107,28 @@ class HacFileSystem:
         from repro.core.recovery import (RecoveryReport, recover_records,
                                          undo_tree)
 
-        engine_factory = _resolve_backend(backend, engine_factory)
+        factory = open_backend(backend)
         hacfs = cls.__new__(cls)
-        hacfs.counters = counters if counters is not None else Counters()
-        hacfs.clock = clock if clock is not None else VirtualClock()
-        hacfs.obs = obs if obs is not None else Observability(
-            clock=hacfs.clock, counters=hacfs.counters)
-        hacfs.fs = fs
-        hacfs._hac = hacfs.counters.scoped("hac")
         fs.device.clear_faults()  # the reboot: the device comes back up
         # the reopened instance resolves paths itself from here on; cached
         # generations from the pre-crash instance must not survive the reboot
         # (a pinned fsid would otherwise revalidate them as live)
         fs.reset_path_map()
+        hacfs._assemble(fs, clock, counters, obs)
         fs.tracer = hacfs.obs.trace
         fs.device.tracer = hacfs.obs.trace
-        hacfs.meta = MetaStore(fs.device)
-        hacfs.journal = Journal(fs.device, hacfs.counters,
-                                tracer=hacfs.obs.trace)
         report = RecoveryReport()
         with hacfs.obs.trace.span("hac.recover") as span:
             pending = recover_records(hacfs.journal, report)
             span.set(rolled_back=len(pending))
         hacfs.last_recovery = report
-        raw_map = hacfs.meta.load_aux("globalmap") or {"0": "/"}
-        hacfs.dirmap = GlobalDirectoryMap.restore(
-            {int(u): p for u, p in raw_map.items()})
-        raw_graph = hacfs.meta.load_aux("depgraph")
-        hacfs.depgraph = (DependencyGraph.from_obj(raw_graph)
-                          if raw_graph else DependencyGraph())
-        hacfs.engine = None  # chosen below: restored or fresh
-        hacfs.semmounts = SemanticMountTable(uid_of=hacfs.dirmap.uid_of,
-                                             path_of=hacfs.dirmap.path_of)
-        hacfs.scopes = ScopeResolver(hacfs)
-        hacfs.consistency = ConsistencyManager(hacfs)
-        hacfs.maintenance = MaintenanceScheduler(hacfs)
-        hacfs.admission = AdmissionController(hacfs)
-        hacfs.scheduler = ReindexScheduler(hacfs)
-        hacfs.watches = WatchManager(hacfs)
-        hacfs.attrcache = AttributeCache(counters=hacfs.counters)
-        hacfs._stat_identity = {}
-        hacfs.fdtable = FDTable()
-        hacfs._loader_fds = FDTable()
-        hacfs._fs_registry = {fs.fsid: (fs, "")}
-        hacfs.meta.reload_all()
+        hacfs.reload_persisted()
         # tree-level undo needs map + states loaded, but not the engine
         undo_tree(hacfs, pending, report)
         restore_stats = hacfs.counters.scoped("restore")
+        build = dict(loader=hacfs._load_doc, counters=hacfs.counters,
+                     clock=hacfs.clock, transducer=default_transducer,
+                     fast_path=fast_path)
         saved = None
         if reuse_index:
             try:
@@ -1176,50 +1137,23 @@ class HacFileSystem:
                 restore_stats.add("index_corrupt")
                 raise
         if saved is not None:
-            if engine_factory is not None:
-                hacfs.engine = engine_factory.from_obj(
-                    saved, loader=hacfs._load_doc,
-                    transducer=default_transducer, counters=hacfs.counters,
-                    clock=hacfs.clock, fast_path=fast_path)
-            elif isinstance(saved, dict) and saved.get("cluster"):
+            if (isinstance(factory, MonolithFactory)
+                    and isinstance(saved, dict) and saved.get("cluster")):
                 # a persisted sharded index restores as a cluster even when
-                # the caller did not pass the factory it was built with
-                from repro.cluster import ShardedSearchCluster
-
-                hacfs.engine = ShardedSearchCluster.from_obj(
-                    saved, loader=hacfs._load_doc,
-                    transducer=default_transducer, counters=hacfs.counters,
-                    clock=hacfs.clock, fast_path=fast_path)
-            else:
-                hacfs.engine = CBAEngine.from_obj(
-                    saved, loader=hacfs._load_doc,
-                    transducer=default_transducer, counters=hacfs.counters,
-                    fast_path=fast_path, segmented=segmented)
+                # the caller did not pass the backend it was built with
+                factory = open_backend("cluster")
+            engine = factory.from_obj(saved, **build)
             restore_stats.add("index_restored")
-        elif (reuse_index and segmented and engine_factory is None
+        elif (reuse_index and isinstance(factory, MonolithFactory)
               and (segment_state := cls._load_segments(hacfs)) is not None):
             store, next_doc, num_blocks = segment_state
-            hacfs.engine = CBAEngine.from_segments(
-                store, loader=hacfs._load_doc, next_doc_id=next_doc,
-                transducer=default_transducer, counters=hacfs.counters,
-                fast_path=fast_path, num_blocks=num_blocks)
+            engine = factory.from_segments(store, next_doc_id=next_doc,
+                                           num_blocks=num_blocks, **build)
             restore_stats.add("index_from_segments")
-        elif engine_factory is not None:
-            hacfs.engine = engine_factory(loader=hacfs._load_doc,
-                                          counters=hacfs.counters,
-                                          clock=hacfs.clock,
-                                          transducer=default_transducer,
-                                          fast_path=fast_path)
-            restore_stats.add("index_rebuilds")
         else:
-            hacfs.engine = CBAEngine(loader=hacfs._load_doc,
-                                     transducer=default_transducer,
-                                     counters=hacfs.counters,
-                                     fast_path=fast_path,
-                                     segmented=segmented)
+            engine = factory(**build)
             restore_stats.add("index_rebuilds")
-        hacfs._wire_obs()
-        hacfs.tenants = TenantManager(hacfs)
+        hacfs._install_engine(engine)
         hacfs.tenants.reload()
         # a saved index makes this incremental (Θ(changes), not Θ(corpus))
         hacfs.ssync("/")

@@ -489,7 +489,7 @@ class MaintenanceScheduler:
             if origins:
                 self.hacfs.consistency.on_scope_changed(
                     origins, include_origins=True)
-            # segmented storage rides the same intent: a memtable past its
+            # segment storage rides the same intent: a memtable past its
             # seal threshold is frozen and the segment list synced to disk
             # under this batch's pre-image capture (no-op otherwise)
             self.hacfs._persist_segments()

@@ -184,14 +184,32 @@ class TestOpenBackend:
         service = SimulatedSearchService("svc", documents=CORPUS)
         assert open_backend(service) is service
 
-    def test_engine_factory_kwarg_is_a_deprecated_shim(self):
+    def test_engine_factory_kwarg_is_a_type_error(self):
+        """The one-release shim is gone: ``backend=`` is the only seam,
+        and the store toggle went with it (every engine owns a store)."""
         from repro.core.hacfs import HacFileSystem
         from repro.cluster import ClusterFactory
 
-        with pytest.warns(DeprecationWarning, match="engine_factory"):
-            hac = HacFileSystem(engine_factory=ClusterFactory(
+        with pytest.raises(TypeError, match="engine_factory"):
+            HacFileSystem(engine_factory=ClusterFactory(
                 shards=2, latency=0.0))
-        assert len(hac.engine.shards) == 2
+        with pytest.raises(TypeError, match="segmented"):
+            HacFileSystem(segmented=False)
+        hac = HacFileSystem()
+        with pytest.raises(TypeError, match="engine_factory"):
+            HacFileSystem.restore(hac.fs, engine_factory=ClusterFactory())
+
+    def test_default_backend_is_the_factory_built_monolith(self):
+        from repro.cba.engine import CBAEngine
+        from repro.core.hacfs import HacFileSystem
+
+        hac = HacFileSystem()
+        assert type(hac.engine) is CBAEngine
+        # the file system persists its monolith's store, so it claims it
+        assert hac.engine.segments.durable
+        clustered = HacFileSystem(backend="cluster:2")
+        assert not any(shard.engine.segments.durable
+                       for shard in clustered.engine.shards.values())
 
     def test_backend_kwarg_is_the_replacement(self):
         import warnings

@@ -1,5 +1,5 @@
-"""Unit tests for the segmented index store: memtable, seal, compaction,
-replica handoff, and zero-tokenisation restore."""
+"""Unit tests for the segment store: memtable, seal, compaction, replica
+handoff, when an engine notes rows, and zero-tokenisation restore."""
 
 import pytest
 
@@ -20,6 +20,13 @@ def row(kind, doc_id, key, path="/f", mtime=1.0, terms=None, text=None):
         return SegmentRow("upsert", doc_id, key, path, mtime,
                           len(text or ""), frozenset(terms or ()), text)
     return SegmentRow(kind, doc_id, key, path, mtime, 0)
+
+
+def durable_store(**kwargs):
+    """A store as its persisting owner holds it (frozen list kept)."""
+    store = SegmentStore(**kwargs)
+    store.durable = True
+    return store
 
 
 class TestCoalesce:
@@ -88,7 +95,7 @@ class TestSegmentStore:
             SegmentStore().note("mystery", 1, ("f", 1), "/a", 1.0)
 
     def test_seal_thresholds_and_ordering(self):
-        store = SegmentStore(seal_threshold=2)
+        store = durable_store(seal_threshold=2)
         assert store.seal() is None          # empty memtable: idempotent
         store.note("index", 5, ("f", 5), "/e", 1.0, {"e"}, "e")
         assert not store.should_seal
@@ -102,7 +109,7 @@ class TestSegmentStore:
 
     def test_compact_folds_newest_wins_and_drops_tombstones(self):
         counters = Counters()
-        store = SegmentStore(counters=counters, compact_threshold=1)
+        store = durable_store(counters=counters, compact_threshold=1)
         store.note("index", 1, ("f", 1), "/a", 1.0, {"old"}, "old")
         store.note("index", 2, ("f", 2), "/b", 1.0, {"b"}, "b")
         store.seal()
@@ -123,7 +130,7 @@ class TestSegmentStore:
         assert store.compact() is None
 
     def test_live_rows_folds_rename_across_segments(self):
-        store = SegmentStore()
+        store = durable_store()
         store.note("index", 1, ("f", 1), "/a", 1.0, {"x"}, "x")
         store.seal()
         store.note("rename", 1, ("f", 1), "/moved", 2.0)
@@ -133,7 +140,7 @@ class TestSegmentStore:
         assert live[("f", 1)].terms == frozenset({"x"})
 
     def test_truncate_log_keeps_frozen(self):
-        store = SegmentStore()
+        store = durable_store()
         store.note("index", 1, ("f", 1), "/a", 1.0, {"x"}, "x")
         store.seal()
         store.note("index", 2, ("f", 2), "/b", 1.0, {"y"}, "y")
@@ -144,8 +151,20 @@ class TestSegmentStore:
         store.truncate_log(0)                # no-op
         assert len(store.sealed_log) == 1
 
-    def test_manifest_roundtrip(self):
+    def test_only_a_durable_store_keeps_a_frozen_list(self):
+        """Nobody folds a replica-only store's segments, so sealing hands
+        them to the sealed log alone — truncation then bounds it."""
         store = SegmentStore()
+        store.note("index", 1, ("f", 1), "/a", 1.0, {"x"}, "x")
+        seg = store.seal()
+        assert store.frozen == []
+        assert store.sealed_log == [seg]
+        assert not store.should_compact
+        store.truncate_log(1)
+        assert store.sealed_log == []
+
+    def test_manifest_roundtrip(self):
+        store = durable_store()
         store.note("index", 1, ("f", 1), "/a", 1.0, {"x"}, "x")
         store.seal()
         manifest = store.to_manifest()
@@ -159,7 +178,7 @@ class TestSegmentStore:
         assert revived.persisted == {"s000000"}
 
     def test_seed_base_prepends(self):
-        store = SegmentStore()
+        store = durable_store()
         store.note("remove", 1, ("f", 1), "/a", 2.0)
         store.seal()
         store.seed_base({("f", 1): row("upsert", 1, ("f", 1), terms={"x"}),
@@ -173,10 +192,10 @@ class TestSegmentStore:
         assert "memtable" in repr(store)
 
 
-def build_engine(segmented=True):
+def build_engine():
     texts = {}
     eng = CBAEngine(loader=texts.__getitem__,
-                    transducer=default_transducer, segmented=segmented)
+                    transducer=default_transducer)
     return eng, texts
 
 
@@ -186,6 +205,37 @@ def search_paths(eng, query):
 
 
 class TestEngineIntegration:
+    def test_standalone_engine_buffers_nothing(self):
+        """No replica and no persisting owner: nothing will read the
+        rows, so none are noted and publish seals nothing."""
+        eng, texts = build_engine()
+        for i in range(50):
+            texts[("f", i)] = f"alpha doc{i}"
+            eng.index_document(("f", i), path=f"/{i}", mtime=1.0,
+                               text=texts[("f", i)])
+            eng.publish()
+        assert len(eng.segments.memtable) == 0
+        assert eng.segments.sealed_log == []
+        assert eng.segments.frozen == []
+        assert eng.counters.get("segments.noted") == 0
+        assert eng.snapshot_info()["pending_ops"] == 0
+
+    def test_claim_seeds_a_base_once(self):
+        eng, texts = build_engine()
+        texts[("f", 1)] = "alpha beta"
+        eng.index_document(("f", 1), path="/one", mtime=1.0,
+                           text=texts[("f", 1)])
+        eng.claim_segments()
+        store = eng.segments
+        assert store.durable
+        assert [len(seg) for seg in store.frozen] == [1]
+        eng.claim_segments()                     # idempotent
+        assert len(store.frozen) == 1
+        texts[("f", 2)] = "gamma"
+        eng.index_document(("f", 2), path="/two", mtime=2.0,
+                           text=texts[("f", 2)])
+        assert ("f", 2) in store.memtable        # owned: every row noted
+
     def test_replica_catches_up_from_segments(self):
         eng, texts = build_engine()
         texts[("f", 1)] = "alpha beta"
@@ -222,6 +272,7 @@ class TestEngineIntegration:
 
     def test_from_segments_restores_without_tokenising(self):
         eng, texts = build_engine()
+        eng.claim_segments()
         for i, words in enumerate(["alpha beta", "beta gamma", "alpha"]):
             texts[("f", i)] = words
             eng.index_document(("f", i), path=f"/{i}", mtime=1.0,

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.cba.engine import CBAEngine, IndexOp
+from repro.cba.engine import CBAEngine
 from repro.cba.queryparser import parse_query
 from repro.cba.snapshot import ReadReplica
+from tests.properties.test_segment_equivalence import canonical_engine_obj
 
 CORPUS = {
     "a": "the fingerprint matching system for the fbi",
@@ -36,10 +37,11 @@ def engine():
 class TestBufferDiscipline:
     def test_no_replicas_means_no_buffer(self, engine):
         """Publishing is free until somebody actually reads snapshots:
-        without replicas the op log must stay empty."""
+        without replicas the memtable and sealed log must stay empty."""
         engine.store["e"] = "late arrival"
         engine.index_document("e", path="/e.txt", mtime=2.0)
         assert engine.snapshot_info()["pending_ops"] == 0
+        assert engine.segments.memtable == {}
         assert engine.publish() == 1
         assert engine.publish() == 2
 
@@ -59,13 +61,18 @@ class TestBufferDiscipline:
         engine.store["e"] = "late arrival"
         engine.index_document("e", path="/e.txt", mtime=2.0)
         engine.publish()
-        # the slow replica has not replayed the op, so it cannot be dropped
+        # the slow replica has not applied the sealed segment, so the
+        # sealed log cannot drop it
         assert engine.snapshot_info()["pending_ops"] == 1
-        assert fresh.version > [r for r in engine.replicas
-                                if r.replica_id == "slow"][0].version
-        engine.publish()  # lag expires, both catch up, buffer truncates
+        assert len(engine.segments.sealed_log) == 1
+        slow = [r for r in engine.replicas if r.replica_id == "slow"][0]
+        assert fresh.version > slow.version
+        assert slow.doc_by_key("e") is None
+        engine.publish()  # lag expires, both catch up, the log truncates
         assert engine.snapshot_info()["pending_ops"] == 0
+        assert engine.segments.sealed_log == []
         assert len({r.version for r in engine.replicas}) == 1
+        assert slow.doc_by_key("e") is not None
 
 
 class TestHydrationAndReplay:
@@ -86,6 +93,8 @@ class TestHydrationAndReplay:
         assert answers(replica) == answers(engine)
 
     def test_every_op_kind_replays(self, engine):
+        """Upsert, remove and rename rows reach the replica through the
+        sealed log, and so does a tombstone followed by a revival."""
         replica = engine.attach_replica()
         engine.store["e"] = "brand new banana notes"
         engine.index_document("e", path="/e.txt", mtime=2.0)
@@ -93,13 +102,27 @@ class TestHydrationAndReplay:
         engine.update_document("a", path="/a.txt", mtime=2.0)
         engine.remove_document("d")
         engine.rename_document("b", "/moved/b.txt")
+        assert {row.kind for row in engine.segments.memtable.values()} == \
+            {"upsert", "remove", "rename"}
         engine.publish()
         assert answers(replica) == answers(engine)
         assert replica.doc_by_key("b").path == "/moved/b.txt"
         assert replica.doc_by_key("d") is None
         assert replica.doc_by_id(engine.doc_id_of("e")).key == "e"
-        # replayed ids keep the allocator in step with the primary
+        # applied ids keep the allocator in step with the primary
         assert replica.engine._next_doc_id == engine._next_doc_id
+        # tombstone then revival within one window: the key returns under
+        # a fresh doc id and the replica retires the old incarnation
+        old_id = engine.doc_id_of("c")
+        engine.remove_document("c")
+        engine.store["c"] = "banana bread reborn"
+        engine.index_document("c", path="/c.txt", mtime=3.0)
+        engine.publish()
+        assert replica.doc_by_id(old_id) is None
+        assert replica.doc_by_key("c").doc_id == engine.doc_id_of("c")
+        assert canonical_engine_obj(replica.engine.to_obj()) == \
+            canonical_engine_obj(engine.to_obj())
+        assert replica.counters.get("replica.segment_rows_applied") > 0
 
     def test_replica_work_is_charged_to_replica_counters(self, engine):
         replica = engine.attach_replica()
@@ -140,16 +163,17 @@ class TestRoutingAndControls:
         assert info["replicas"] == [{"id": "r0", "version": 0, "lag": 2}]
 
     def test_op_log_entries_are_self_contained(self, engine):
-        """Shipped ops carry terms and frozen text — replay must never
-        consult the primary's loader (that is what keeps replicas off the
-        live tree)."""
+        """Entries of the index change log (memtable rows, sealed into
+        segments at publish) carry terms and frozen text — catch-up must
+        never consult the primary's loader (that is what keeps replicas
+        off the live tree)."""
         engine.attach_replica()
         engine.store["e"] = "ephemeral banana"
         engine.index_document("e", path="/e.txt", mtime=2.0)
-        op = engine._pending_ops[0]
-        assert isinstance(op, IndexOp)
-        assert op.terms and op.text == "ephemeral banana"
-        del engine.store["e"]  # primary text gone; replay still works
+        row = engine.segments.memtable["e"]
+        assert row.kind == "upsert"
+        assert row.terms and row.text == "ephemeral banana"
+        del engine.store["e"]  # primary text gone; catch-up still works
         engine.publish()
         replica = engine.snapshot_view()
         assert replica.doc_by_key("e") is not None

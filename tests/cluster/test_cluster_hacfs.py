@@ -36,7 +36,7 @@ def key_of(hacfs, path):
 @pytest.fixture
 def cfs():
     """A HAC file system running over a 3-shard cluster."""
-    fs = HacFileSystem(engine_factory=ClusterFactory(shards=3))
+    fs = HacFileSystem(backend=ClusterFactory(shards=3))
     populate(fs)
     fs.smkdir("/q", "fingerprint")
     return fs
@@ -143,7 +143,7 @@ class TestPersistence:
     def test_restore_with_factory_and_saved_index(self, cfs):
         cfs.save_index()
         again = HacFileSystem.restore(
-            cfs.fs, engine_factory=ClusterFactory(shards=3))
+            cfs.fs, backend=ClusterFactory(shards=3))
         assert isinstance(again.engine, ShardedSearchCluster)
         assert len(again.engine) == len(cfs.engine)
         assert set(again.links("/q")) == set(cfs.links("/q"))
@@ -151,7 +151,7 @@ class TestPersistence:
     def test_restore_with_factory_builds_fresh_when_unsaved(self, cfs):
         # no save_index(): the factory must rebuild from the corpus
         again = HacFileSystem.restore(
-            cfs.fs, engine_factory=ClusterFactory(shards=2))
+            cfs.fs, backend=ClusterFactory(shards=2))
         assert isinstance(again.engine, ShardedSearchCluster)
         assert len(again.engine.shards) == 2
         again.ssync("/")

@@ -133,3 +133,36 @@ class TestStalenessInjection:
             cluster.set_replica_lag("s9", 1)
         with pytest.raises(KeyError):
             cluster.set_replica_lag("s0", 1, replica_id="s0:r9")
+
+
+class TestBoundedShardStores:
+    """Nobody persists or compacts a shard's segment store, so it must
+    stay bounded on its own: a shard keeps no frozen list and the sealed
+    log drains at every publish its replicas keep up with."""
+
+    ROUNDS = 200
+
+    def test_shard_stores_stay_bounded_over_publishes(self):
+        from repro.cba.segments import DEFAULT_COMPACT_THRESHOLD
+        from repro.core.hacfs import HacFileSystem
+
+        hac = HacFileSystem(backend={"kind": "cluster", "shards": 3,
+                                     "latency": 0.0})
+        hac.makedirs("/d")
+        hac.watch("/d")
+        hac.engine.snapshot_view()  # one replica per shard
+        for i in range(self.ROUNDS):
+            hac.write_file(f"/d/f{i % 40}.txt",
+                           f"fingerprint round {i}".encode("utf-8"))
+            hac.clock.tick()
+            hac.maintenance.publish()
+            for sid, shard in hac.engine.shards.items():
+                store = shard.engine.segments
+                assert len(store.frozen) <= DEFAULT_COMPACT_THRESHOLD + 1, \
+                    (i, sid, len(store.frozen))
+                assert store.memtable == {} and store.sealed_log == [], \
+                    (i, sid)
+        assert hac.counters.get("segments.noted") >= self.ROUNDS
+        view = hac.engine.snapshot_view()
+        assert view.search(parse_query("round")).to_bytes() == \
+            hac.engine.search(parse_query("round")).to_bytes()

@@ -58,9 +58,9 @@ class TestHacRecovery:
         assert sorted(revived.links("/fp")) == sorted(populated.links("/fp"))
 
     def test_restore_without_saved_index_merges_segments(self, populated):
-        # no explicit save_index, but the segmented store persisted the
-        # frozen segments at reindex time — restore folds them back with
-        # zero tokenisation (reindex-as-merge) instead of rebuilding
+        # no explicit save_index, but the file system persisted its
+        # engine's frozen segments at reindex time — restore folds them
+        # back with zero tokenisation (reindex-as-merge), not a rebuild
         populated.smkdir("/fp", "fingerprint")
         revived = HacFileSystem.restore(populated.fs)
         assert revived.counters.get("restore.index_from_segments") == 1
@@ -70,7 +70,8 @@ class TestHacRecovery:
 
     def test_restore_without_segments_rebuilds(self, populated):
         populated.smkdir("/fp", "fingerprint")
-        revived = HacFileSystem.restore(populated.fs, segmented=False)
+        revived = HacFileSystem.restore(populated.fs, reuse_index=False)
+        assert revived.counters.get("restore.index_rebuilds") == 1
         assert revived.counters.get("engine.restored_docs") == 0
         assert revived.counters.get("engine.indexed") == 5
         assert sorted(revived.links("/fp")) == sorted(populated.links("/fp"))

@@ -145,7 +145,7 @@ class TestIndexRestoreDistinction:
 
         counters = Counters()
         restored = HacFileSystem.restore(populated.fs, counters=counters,
-                                         segmented=False)
+                                         reuse_index=False)
         assert counters.get("restore.index_rebuilds") == 1
         assert counters.get("restore.index_restored") == 0
         assert errors(restored) == []

@@ -293,7 +293,7 @@ def test_rebase_prefix_is_one_pass_and_exact():
 # ----------------------------------------------------------------------
 
 def test_segment_cas_runs_group_by_prefix():
-    hac = HacFileSystem(segmented=True)
+    hac = HacFileSystem()
     hac.makedirs("/projects/mail")
     hac.makedirs("/archive")
     hac.write_file("/projects/mail/a.txt", b"fingerprint ridge\n")
@@ -321,7 +321,7 @@ def test_segment_cas_runs_group_by_prefix():
 # ----------------------------------------------------------------------
 
 def _deep_world():
-    hac = HacFileSystem(segmented=True)
+    hac = HacFileSystem()
     hac.makedirs("/projects/mail/drafts")
     hac.makedirs("/archive")
     for i in range(10):

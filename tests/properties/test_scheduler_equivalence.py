@@ -40,7 +40,7 @@ def build_world(mode: str) -> HacShell:
     # latency 0 keeps the virtual clock identical across modes in cluster
     # runs (fewer RPCs batched would otherwise skew later mtimes)
     factory = ClusterFactory(shards=K, latency=0.0) if K else None
-    shell = HacShell(HacFileSystem(engine_factory=factory))
+    shell = HacShell(HacFileSystem(backend=factory))
     hac = shell.hacfs
     hac.makedirs("/mail")
     hac.write_file("/mail/seed.txt", b"fingerprint ridge baseline\n")

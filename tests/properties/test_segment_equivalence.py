@@ -1,21 +1,29 @@
-"""Property: the segmented index store is observationally identical to
-the monolithic one.
+"""Property: the segment store is the one index change log, and both of
+its readers reproduce the live engine exactly.
 
-The segment plane (DESIGN.md §3i) restructures *how* GlimpseIndex state
-is buffered, published, persisted, and recovered — memtable, frozen
-segments, sealed log — while the live aggregates keep answering every
-query.  Its contract is bit-identity: after any interleaving of writes,
-removals, moves, strong and snapshot queries, async syncs, drains,
-publishes, and reindexes, the segmented world's query answers, final
-engine state, and serialized index must equal the monolithic world's,
-byte for byte.  Both worlds share one pinned fsid and identical op
-schedules, so doc keys and ids line up exactly and raw bitmap / to_obj
-comparisons are meaningful.
+Every engine owns a segment store (DESIGN.md §3i).  Replicas catch up by
+folding the segments sealed at each publish, and the file system's
+restore folds the persisted frozen list back into an engine.  This file
+checks each reader directly against the live engine it copies, under a
+fuzzed interleaving of writes, removals, moves, strong and snapshot
+queries, async syncs, drains, publishes, and reindexes:
+
+* at every publish, each replica's serialized index and registry equal
+  its primary's (per shard on a cluster);
+* a world restored from its persisted segments equals the live world —
+  serialized index, registry, links, and canonical state digest.
+
+Term ids in the lexicon are allocation-order artefacts: a fold applies
+each document's final row in doc-id order, while the live engine
+interned terms in mutation order.  :func:`canonical_engine_obj` therefore
+compares ``to_obj()`` with term ids spelled as their terms; every other
+byte — postings, block counts, per-document term sets, block membership,
+document rows — is compared as serialized.  A replica's next doc id may
+trail its primary's, which also counts ids reserved for documents still
+pending in the scheduler; a replica never allocates ids.
 
 A separate crash test arms a device crash inside the batched drain and
-proves both worlds recover — the segmented one by folding its persisted
-segments back (or rebuilding when the crash beat the first persist) —
-to the same canonical state digest.
+proves the restored world converges to a fault-free twin's state digest.
 
 ``SEG_SEED`` shifts the fuzz seeds and ``SEG_K`` (>0) runs the same
 property against a sharded search cluster (CI matrix).
@@ -23,17 +31,16 @@ property against a sharded search cluster (CI matrix).
 
 import os
 import random
+from array import array
 from types import SimpleNamespace
 
 import pytest
 
 from repro.cba.queryparser import parse_query
 from repro.chaos.invariants import state_digest
-from repro.cluster import ClusterFactory
 from repro.core.hacfs import HacFileSystem
 from repro.errors import DeviceCrashed
 from repro.shell.session import HacShell
-from repro.util import serialization
 from repro.util.clock import VirtualClock
 from repro.util.stats import Counters
 from repro.vfs.blockdev import FaultPlan
@@ -49,19 +56,16 @@ QUERIES = ["fingerprint", "banana AND recipe", "fingerprint OR lunch",
            "ridge AND NOT banana", '"fingerprint ridge"']
 
 
-def build_world(segmented: bool) -> HacShell:
-    # one pinned fsid in both worlds: doc keys embed it, and the twin
-    # runs are op-for-op identical, so with the id pinned the serialized
-    # indexes must match byte for byte
+def build_world() -> HacShell:
+    # a pinned fsid: doc keys embed it, so a restored world's keys and
+    # serialized rows line up with the live world's byte for byte
     clock = VirtualClock()
     counters = Counters()
     fs = FileSystem(name="hac", clock=clock, counters=counters,
                     fsid="hac#segeq")
-    factory = (ClusterFactory(shards=K, latency=0.0, segmented=segmented)
-               if K else None)
+    backend = {"kind": "cluster", "shards": K, "latency": 0.0} if K else None
     shell = HacShell(HacFileSystem(fs=fs, clock=clock, counters=counters,
-                                   engine_factory=factory,
-                                   segmented=segmented))
+                                   backend=backend))
     hac = shell.hacfs
     hac.makedirs("/mail")
     hac.write_file("/mail/seed.txt", b"fingerprint ridge baseline\n")
@@ -102,8 +106,8 @@ def op_script(seed: int, n_ops: int = 90):
 
 
 def apply_op(shell: HacShell, op):
-    """Run one scripted op; both worlds guard identically (same tree), so
-    an op that is a no-op in one is a no-op in the other."""
+    """Run one scripted op; guards depend only on the tree, so twins
+    built from the same script stay op-for-op identical."""
     hac = shell.hacfs
     kind = op[0]
     if kind == "write":
@@ -119,8 +123,7 @@ def apply_op(shell: HacShell, op):
     elif kind == "query":
         return shell.glimpse(op[1])
     elif kind == "snap_query":
-        # the zero-barrier path: answered by a replica fed segments (or
-        # the op log in the monolithic-store world)
+        # the zero-barrier path: answered by a replica fed segments
         return shell.glimpse(op[1], consistency="snapshot")
     elif kind == "ssync_async":
         shell.ssync("/", asynchronous=True)
@@ -133,19 +136,46 @@ def apply_op(shell: HacShell, op):
     return None
 
 
-def engine_state(hac: HacFileSystem) -> dict:
-    eng = hac.engine
-    docs = []
-    for doc_id in eng.all_docs():
-        doc = eng.doc_by_id(doc_id)
-        docs.append((doc_id, doc.path, doc.mtime))
+def canonical_engine_obj(obj) -> dict:
+    """``CBAEngine.to_obj()`` with lexicon ids replaced by their terms
+    and the document rows in doc-id order; everything else verbatim."""
+    index = obj["index"]
+    term_of = {tid: term for term, (tid, _df) in index["lexicon"].items()}
+
+    def unpack(raw):
+        arr = array("I")
+        arr.frombytes(raw)
+        return arr
+
+    def block_counts(raw):
+        flat = unpack(raw)
+        return sorted((term_of[flat[i]], flat[i + 1])
+                      for i in range(0, len(flat), 2))
+
     return {
-        "next_doc_id": eng._next_doc_id,
-        "all_docs": eng.all_docs().to_bytes(),
-        "mtimes": {eng.doc_id_of(k): m
-                   for k, m in eng.mtime_snapshot().items()},
-        "docs": sorted(docs),
+        "num_blocks": index["num_blocks"],
+        "df": {term: df for term, (_tid, df) in index["lexicon"].items()},
+        "postings": {term_of[int(tid)]: raw
+                     for tid, raw in index["postings"].items()},
+        "block_counts": {b: block_counts(raw)
+                         for b, raw in index["block_counts"].items()},
+        "doc_terms": {doc: sorted(term_of[t] for t in unpack(raw))
+                      for doc, raw in index["doc_terms"].items()},
+        "block_docs": index["block_docs"],
+        "docs": sorted(obj["docs"]),
+        "next": obj["next"],
     }
+
+
+def registry(engine) -> dict:
+    return {"docs": dict(engine._docs), "by_key": dict(engine._by_key)}
+
+
+def primaries(hac: HacFileSystem) -> list:
+    """The engines that own replicas: the monolith, or every shard."""
+    if K:
+        return [shard.engine for shard in hac.engine.shards.values()]
+    return [hac.engine]
 
 
 def raw_answer(hac: HacFileSystem, query: str) -> bytes:
@@ -159,36 +189,77 @@ def as_world(shell: HacShell) -> SimpleNamespace:
 
 @pytest.mark.parametrize("seed",
                          [BASE_SEED, BASE_SEED + 1, BASE_SEED + 2])
-def test_segmented_is_bit_identical_to_monolithic(seed):
-    mono, seg = build_world(False), build_world(True)
+def test_replicas_match_primary_at_every_publish(seed):
+    shell = build_world()
+    hac = shell.hacfs
+    hac.engine.snapshot_view()  # attach replicas before the first write
+    checked = []
+
+    def check_after(engine):
+        publish = engine.publish
+
+        def checked_publish():
+            version = publish()
+            primary = canonical_engine_obj(engine.to_obj())
+            for replica in engine.replicas:
+                assert replica.version == version, (seed, version)
+                mirror = canonical_engine_obj(replica.engine.to_obj())
+                # the primary's next id also counts ids the scheduler
+                # reserved for still-pending documents; a replica never
+                # allocates ids, so it only trails behind them
+                assert mirror["next"] <= primary["next"], seed
+                mirror["next"] = primary["next"]
+                assert mirror == primary, (seed, replica.replica_id, version)
+                assert registry(replica.engine) == registry(engine), \
+                    (seed, replica.replica_id, version)
+            assert engine.segments.sealed_log == [], (seed, version)
+            checked.append(version)
+            return version
+        engine.publish = checked_publish
+
+    for engine in primaries(hac):
+        check_after(engine)
     for op in op_script(seed):
-        a = apply_op(mono, op)
-        b = apply_op(seg, op)
-        if op[0] in ("query", "snap_query"):
-            assert a == b, (seed, op)
+        apply_op(shell, op)
+    hac.maintenance.barrier()
+    hac.maintenance.publish()
 
-    # settle both worlds the same way, then compare everything observable
-    for shell in (mono, seg):
-        shell.hacfs.maintenance.barrier()
-    assert engine_state(mono.hacfs) == engine_state(seg.hacfs), seed
+    # the change log actually engaged: rows were noted and sealed, and
+    # every publish was checked against the primary
+    assert checked, seed
+    assert hac.counters.get("segments.noted") > 0, seed
+    assert hac.counters.get("segments.seals") > 0, seed
     for query in QUERIES:
-        assert raw_answer(mono.hacfs, query) == \
-            raw_answer(seg.hacfs, query), (seed, query)
-    # the serialized index (save_index payload) is byte-identical: the
-    # segment plane changes buffering and persistence, never the index
-    assert serialization.dumps(mono.hacfs.engine.to_obj()) == \
-        serialization.dumps(seg.hacfs.engine.to_obj()), seed
-    assert set(mono.hacfs.links("/fp")) == set(seg.hacfs.links("/fp")), seed
-    assert state_digest(as_world(mono), queries=QUERIES) == \
-        state_digest(as_world(seg), queries=QUERIES), seed
+        assert shell.glimpse(query, consistency="snapshot") == \
+            shell.glimpse(query, consistency="strong"), (seed, query)
 
-    # and the segment plane actually engaged: rows coalesced into the
-    # memtable and at least one seal cut (reindex forces one; so does any
-    # publish once a snapshot query attached a replica)
-    c = seg.hacfs.counters
-    assert c.get("segments.noted") > 0, seed
-    assert c.get("segments.seals") > 0, seed
-    assert mono.hacfs.counters.get("segments.noted") == 0, seed
+
+@pytest.mark.skipif(K > 0, reason="segment-merge restore is the monolith "
+                                  "engine's path; clusters restore via "
+                                  "their persisted cbaindex")
+@pytest.mark.parametrize("seed",
+                         [BASE_SEED, BASE_SEED + 1, BASE_SEED + 2])
+def test_restore_from_segments_matches_live(seed):
+    shell = build_world()
+    hac = shell.hacfs
+    for op in op_script(seed):
+        apply_op(shell, op)
+    # settle: reindex seals and compacts inside its intent, so the
+    # persisted segment list covers every live document
+    hac.maintenance.barrier()
+    hac.reindex()
+    revived = HacFileSystem.restore(hac.fs, clock=hac.clock)
+    assert revived.counters.get("restore.index_from_segments") == 1, seed
+    assert canonical_engine_obj(revived.engine.to_obj()) == \
+        canonical_engine_obj(hac.engine.to_obj()), seed
+    assert registry(revived.engine) == registry(hac.engine), seed
+    assert revived.engine._next_doc_id == hac.engine._next_doc_id, seed
+    for query in QUERIES:
+        assert raw_answer(revived, query) == raw_answer(hac, query), \
+            (seed, query)
+    assert set(revived.links("/fp")) == set(hac.links("/fp")), seed
+    assert state_digest(as_world(HacShell(revived)), queries=QUERIES) == \
+        state_digest(as_world(shell), queries=QUERIES), seed
 
 
 @pytest.mark.skipif(K > 0, reason="segment-merge restore is the monolith "
@@ -197,30 +268,29 @@ def test_segmented_is_bit_identical_to_monolithic(seed):
 @pytest.mark.parametrize("seed",
                          [BASE_SEED, BASE_SEED + 1, BASE_SEED + 2])
 def test_crash_recovery_converges_identically(seed):
-    """Crash both twins mid-drain, restore both, and require the same
-    canonical state digest.  The intact intent journal makes the crash
-    atomic in either store; restore's catch-up sync then converges them
-    regardless of which record the crash fell on."""
-    mono, seg = build_world(False), build_world(True)
+    """Crash a world mid-drain, restore it, and require the canonical
+    state digest of a fault-free twin that ran the same ops.  The intact
+    intent journal makes the crash atomic; restore's catch-up sync then
+    converges the segment fold (or the rebuild, when the crash beat the
+    first persist) to the twin."""
+    crashed, twin = build_world(), build_world()
     script = op_script(seed)
-    for op in script[:40]:
-        apply_op(mono, op)
-        apply_op(seg, op)
-    restored = []
-    for shell in (mono, seg):
+    for shell in (crashed, twin):
+        for op in script[:40]:
+            apply_op(shell, op)
         hac = shell.hacfs
         hac.clock.tick()
         hac.write_file("/mail/crashy.txt", b"fingerprint at the scene\n")
         hac.write_file("/mail/seed.txt", b"ridge rewritten baseline\n")
-        dev = hac.fs.device
-        dev.set_fault_plan(
-            FaultPlan(crash_at=dev.record_write_index + seed % 3))
-        with pytest.raises(DeviceCrashed):
-            hac.maintenance.drain()
-            hac.ssync("/")
-        revived = HacFileSystem.restore(hac.fs)
-        assert [f for f in revived.fsck() if f.severity == "error"] == [], \
-            seed
-        restored.append(as_world(HacShell(revived)))
-    assert state_digest(restored[0], queries=QUERIES) == \
-        state_digest(restored[1], queries=QUERIES), seed
+    hac = crashed.hacfs
+    dev = hac.fs.device
+    dev.set_fault_plan(FaultPlan(crash_at=dev.record_write_index + seed % 3))
+    with pytest.raises(DeviceCrashed):
+        hac.maintenance.drain()
+        hac.ssync("/")
+    revived = HacFileSystem.restore(hac.fs)
+    assert [f for f in revived.fsck() if f.severity == "error"] == [], seed
+    twin.hacfs.maintenance.drain()
+    twin.hacfs.ssync("/")
+    assert state_digest(as_world(HacShell(revived)), queries=QUERIES) == \
+        state_digest(as_world(twin), queries=QUERIES), seed

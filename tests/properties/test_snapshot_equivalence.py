@@ -46,7 +46,7 @@ QUERIES = ["fingerprint", "banana AND recipe", "fingerprint OR lunch",
 
 def build_world(mode: str) -> HacShell:
     factory = ClusterFactory(shards=K, latency=0.0) if K else None
-    shell = HacShell(HacFileSystem(engine_factory=factory))
+    shell = HacShell(HacFileSystem(backend=factory))
     hac = shell.hacfs
     hac.makedirs("/mail")
     hac.write_file("/mail/seed.txt", b"fingerprint ridge baseline\n")
