@@ -1,8 +1,10 @@
-"""Ablation G — recovery cost: rebuild the index vs restore the saved one.
+"""Ablation G — recovery cost: rebuild the index vs restore the persisted one.
 
 Real Glimpse persists its index files; recovery then costs whatever changed
-since the save rather than a full re-read of the corpus.  This ablation
-measures both recovery paths for the same HAC file system, plus the two
+since they were written rather than a full re-read of the corpus.  HAC
+persists its index as a segment list inside every ``reindex`` and
+maintenance drain, with no explicit save step.  This ablation measures
+both recovery paths for the same HAC file system, plus the two
 costs the write-ahead intent journal introduces: replaying an interrupted
 intent on restore, and the steady-state write amplification of journaling
 every multi-structure mutation.
@@ -48,39 +50,46 @@ def test_rebuild_vs_restore(benchmark, record_report, record_json):
             rebuild_s = secs if rebuild_s is None else min(rebuild_s, secs)
 
             warm = build()
-            saved_bytes = warm.save_index()
+            dev = warm.fs.device
+            seg_bytes = sum(len(dev.read_record(key))
+                            for key in dev.record_keys()
+                            if key.startswith("seg:"))
             obs = Observability(enabled=True)
             secs, revived = time_call(
                 lambda: HacFileSystem.restore(warm.fs, obs=obs))
             restore_spans = obs.trace.breakdown()
             restore_s = secs if restore_s is None else min(restore_s, secs)
             retokenised = revived.counters.get("engine.indexed")
-        return (rebuild_s, restore_s, saved_bytes, retokenised,
-                rebuild_retokenised, rebuild_spans, restore_spans)
+            from_segments = revived.counters.get(
+                "restore.index_from_segments")
+        return (rebuild_s, restore_s, seg_bytes, retokenised,
+                rebuild_retokenised, from_segments, rebuild_spans,
+                restore_spans)
 
-    (rebuild_s, restore_s, saved_bytes, retokenised, rebuild_retokenised,
-     rebuild_spans, restore_spans) = benchmark.pedantic(
+    (rebuild_s, restore_s, seg_bytes, retokenised, rebuild_retokenised,
+     from_segments, rebuild_spans, restore_spans) = benchmark.pedantic(
         run, rounds=1, iterations=1, warmup_rounds=1)
 
     results = [
         BenchResult("corpus files", N_FILES),
         BenchResult("recovery by full rebuild s", rebuild_s,
                     spans=rebuild_spans),
-        BenchResult("recovery from saved index s", restore_s,
+        BenchResult("recovery from persisted segments s", restore_s,
                     spans=restore_spans),
         BenchResult("rebuild / restore", rebuild_s / restore_s),
-        BenchResult("saved index bytes", saved_bytes),
+        BenchResult("persisted seg: record bytes", seg_bytes),
         BenchResult("docs re-tokenised on restore", retokenised),
         BenchResult("docs re-tokenised on rebuild", rebuild_retokenised),
     ]
-    record_report(report("Ablation G: recovery — rebuild vs saved index",
-                         results))
+    record_report(report("Ablation G: recovery — rebuild vs persisted "
+                         "segments", results))
     record_json("ablation_recovery", results,
                 spans=merge_breakdowns(rebuild_spans, restore_spans))
 
-    # the saved index wins because it skips re-tokenising the corpus;
-    # asserted on doc counts, which cannot flake (the wall times above are
-    # reported only)
+    # the persisted segments win because folding them skips re-tokenising
+    # the corpus; asserted on counts, which cannot flake (the wall times
+    # above are reported only)
+    assert from_segments == 1, "restore must fold the persisted segments"
     assert retokenised == 0, "restore must not re-read unchanged documents"
     assert rebuild_retokenised >= N_FILES, (
         f"a rebuild must re-tokenise the whole corpus, got "
@@ -93,7 +102,6 @@ def test_journal_replay_and_write_amplification(benchmark, record_report,
     def run():
         # -- crash replay: restore with one interrupted intent in the wal --
         crashed = build()
-        crashed.save_index()
         dev = crashed.fs.device
         dev.set_fault_plan(FaultPlan(crash_at=dev.record_write_index + 4))
         try:
@@ -107,7 +115,6 @@ def test_journal_replay_and_write_amplification(benchmark, record_report,
         rolled_back = len(revived.last_recovery.rolled_back)
 
         clean = build()
-        clean.save_index()
         clean_s, _ = time_call(lambda: HacFileSystem.restore(clean.fs))
 
         # -- steady-state WAL write amplification over journaled mutations --

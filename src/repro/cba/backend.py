@@ -25,6 +25,11 @@ note:
   A monolithic engine has no shards, so its implementations are trivial
   (``None`` / empty) — but having them lets the consistency cascade and
   the shell run one unconditional code path against either back-end.
+
+Persistence is not part of the protocol: the owning file system persists
+an engine's segment stores, and restore folds them back through the
+factory's ``from_segments`` (:class:`MonolithFactory`,
+:class:`~repro.cluster.ClusterFactory`).
 """
 
 from __future__ import annotations
@@ -124,13 +129,6 @@ class SearchBackend(Protocol):
     def health(self) -> Dict[str, str]:
         """Per-shard health (empty on an unsharded back-end)."""
 
-    # -- persistence ---------------------------------------------------------
-
-    def to_obj(self): ...
-
-    @classmethod
-    def from_obj(cls, obj, loader, **kwargs) -> "SearchBackend": ...
-
 
 # ======================================================================
 # unified backend construction
@@ -139,12 +137,11 @@ class SearchBackend(Protocol):
 class MonolithFactory:
     """Engine factory for the single-process :class:`CBAEngine`.
 
-    The callable-plus-``from_obj`` shape mirrors
-    :class:`~repro.cluster.ClusterFactory`, so ``HacFileSystem`` (and
-    ``restore``) drive every backend kind through one seam.  Only the
-    monolith also restores from a persisted segment list
-    (:meth:`from_segments`): it is the one engine whose store its file
-    system persists.
+    Every factory is a callable (a fresh engine) plus
+    :meth:`from_segments` (an engine folded from a persisted segment
+    list), so ``HacFileSystem`` and ``restore`` drive every backend kind
+    through one seam.  The persisted topology decides the kind: a
+    manifest naming shards restores as a cluster, whatever the factory.
     """
 
     def __call__(self, loader, *, counters=None, clock=None, transducer=None,
@@ -156,23 +153,24 @@ class MonolithFactory:
                          transducer=transducer or default_transducer,
                          counters=counters, fast_path=fast_path)
 
-    def from_obj(self, obj, *, loader, counters=None, clock=None,
-                 transducer=None, fast_path: bool = True):
-        from repro.cba.engine import CBAEngine
-        from repro.cba.transducers import default_transducer
-
-        return CBAEngine.from_obj(obj, loader=loader,
-                                  transducer=transducer or default_transducer,
-                                  counters=counters, fast_path=fast_path)
-
-    def from_segments(self, store, *, loader, next_doc_id: int = 0,
+    def from_segments(self, stores, *, loader, next_doc_id: int = 0,
                       counters=None, clock=None, transducer=None,
                       num_blocks: int = 64, fast_path: bool = True):
+        """Fold *stores* — one :class:`~repro.cba.segments.SegmentStore`,
+        or shard id → store for a sharded manifest — into an engine with
+        zero tokenisation."""
         from repro.cba.engine import CBAEngine
         from repro.cba.transducers import default_transducer
 
+        if isinstance(stores, dict):
+            from repro.cluster import ClusterFactory
+
+            return ClusterFactory().from_segments(
+                stores, loader=loader, next_doc_id=next_doc_id,
+                counters=counters, clock=clock, transducer=transducer,
+                num_blocks=num_blocks, fast_path=fast_path)
         return CBAEngine.from_segments(
-            store, loader=loader, next_doc_id=next_doc_id,
+            stores, loader=loader, next_doc_id=next_doc_id,
             transducer=transducer or default_transducer, counters=counters,
             fast_path=fast_path, num_blocks=num_blocks)
 

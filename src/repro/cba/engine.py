@@ -447,8 +447,8 @@ class CBAEngine:
     def rebuild_cas(self) -> None:
         """Repopulate the CAS index from the registry and the block
         index's removal map — zero loader reads, zero tokenisations.
-        Restore paths (from_obj, segment folds, replica hydration) land
-        here because they bypass the per-mutation funnels."""
+        Restore paths (segment folds, replica hydration) land here
+        because they bypass the per-mutation funnels."""
         if self.cas is None:
             return
         self.cas.clear()
@@ -913,33 +913,6 @@ class CBAEngine:
             "next": self._next_doc_id,
         }
 
-    @classmethod
-    def from_obj(cls, obj, loader: Callable[[Hashable], str],
-                 transducer: Optional[Transducer] = None,
-                 counters: Optional[Counters] = None,
-                 fast_path: bool = True,
-                 cache_size: int = 64,
-                 cas: bool = True) -> "CBAEngine":
-        """Rebuild an engine from :meth:`to_obj` output without re-reading
-        or re-tokenising a single document.  The CAS index is derived
-        state (registry paths x index terms) and is rebuilt, not
-        persisted; an owner that claims the store later seeds its base
-        segment (:meth:`claim_segments`)."""
-        engine = cls(loader=loader, transducer=transducer, counters=counters,
-                     fast_path=fast_path, cache_size=cache_size, cas=cas)
-        engine.index = GlimpseIndex.from_obj(obj["index"],
-                                             counters=engine.counters,
-                                             track_doc_postings=fast_path)
-        engine.index.scope_counter = engine.scope_count
-        for doc_id, raw_key, path, mtime, size in obj["docs"]:
-            key = (raw_key[0], raw_key[1])
-            engine._docs[doc_id] = Document(doc_id, key, path, mtime, size)
-            engine._by_key[key] = doc_id
-        engine._next_doc_id = obj["next"]
-        engine.rebuild_cas()
-        engine._stats.add("restored_docs", len(engine._docs))
-        return engine
-
     def doc_rows(self) -> Dict[Hashable, "SegmentRow"]:
         """Synthesize upsert :class:`SegmentRow`\\ s for every live
         document from the index's removal map (term ids → strings via the
@@ -955,23 +928,15 @@ class CBAEngine:
         return rows
 
     @classmethod
-    def from_segments(cls, store: SegmentStore,
-                      loader: Callable[[Hashable], str],
-                      next_doc_id: int = 0,
-                      transducer: Optional[Transducer] = None,
-                      counters: Optional[Counters] = None,
-                      fast_path: bool = True,
-                      cache_size: int = 64,
-                      num_blocks: int = DEFAULT_NUM_BLOCKS,
-                      cas: bool = True) -> "CBAEngine":
+    def from_segments(cls, store: SegmentStore, next_doc_id: int = 0,
+                      **options) -> "CBAEngine":
         """Rebuild an engine by folding *store*'s frozen segments —
         reindex-as-merge.  Each document's newest upsert row carries the
         term set the original engine computed, so the rebuild is pure
         index insertion: zero loader reads, zero tokenisations (the
-        counter Ablation N's merge-vs-rebuild guard compares)."""
-        engine = cls(loader=loader, num_blocks=num_blocks,
-                     transducer=transducer, counters=counters,
-                     fast_path=fast_path, cache_size=cache_size, cas=cas)
+        counter Ablation N's merge-vs-rebuild guard compares).
+        *options* are the constructor's (``loader`` included)."""
+        engine = cls(**options)
         engine.segments = store
         rows = store.live_rows()
         for key, row in sorted(rows.items(), key=lambda kv: kv[1].doc_id):

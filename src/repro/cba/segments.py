@@ -22,18 +22,20 @@ them exists:
   min cursor, so a store nobody persists holds at most what its
   slowest replica has yet to apply.
 * **Persistence and recovery** — the owning
-  :class:`~repro.core.hacfs.HacFileSystem` claims its monolith engine's
-  store (:attr:`SegmentStore.durable`).  Only a durable store keeps a
-  frozen list.  The owner writes each frozen segment as a ``seg:<id>``
-  device record plus a ``segmanifest`` listing the live segment ids,
-  *only inside journal intents* (the scheduler's ``sched_batch`` drains
-  and ``reindex``), so the WAL's pre-images roll a mid-seal or
-  mid-compaction crash back to a consistent segment list.  Serialized
-  segments drop the document text to keep WAL amplification flat.
-  Restore folds the persisted segments back into engine state with
-  **zero tokenisation** (reindex-as-merge); rows still in the memtable
-  at the crash are healed by the recovery ``ssync``'s mtime diff,
-  exactly like any other un-reindexed write.
+  :class:`~repro.core.hacfs.HacFileSystem` claims its engine's stores
+  (:attr:`SegmentStore.durable`): the monolith's one store, or one per
+  cluster shard.  Only a durable store keeps a frozen list.  The owner
+  writes each frozen segment as a device record (:func:`record_key`:
+  ``seg:<id>`` for a monolith, ``seg:<shard>/<id>`` for a shard) plus a
+  ``segmanifest`` listing the live segment ids (per shard, for a
+  cluster), *only inside journal intents* (the scheduler's
+  ``sched_batch`` drains and ``reindex``), so the WAL's pre-images roll
+  a mid-seal or mid-compaction crash back to a consistent segment list.
+  Serialized segments drop the document text to keep WAL amplification
+  flat.  Restore folds the persisted segments back into engine state
+  with **zero tokenisation** (reindex-as-merge); rows still in the
+  memtable at the crash are healed by the recovery ``ssync``'s mtime
+  diff, exactly like any other un-reindexed write.
 
 Compaction policy: seal when the memtable holds ``seal_threshold`` rows
 (or at every publish with replicas attached — the snapshot cut must be
@@ -140,6 +142,32 @@ def _coalesce(prior: Optional[SegmentRow], row: SegmentRow) -> SegmentRow:
     return prior  # rename after remove: the tombstone wins
 
 
+def record_key(shard: Optional[str], seg_id: str) -> str:
+    """The device record holding segment *seg_id* of *shard* (``None``
+    for a monolith's one store)."""
+    return f"seg:{seg_id}" if shard is None else f"seg:{shard}/{seg_id}"
+
+
+def build_manifest(stores: Dict[Optional[str], "SegmentStore"]
+                   ) -> Dict[str, object]:
+    """The ``segmanifest`` payload for shard id → store (``None`` for a
+    monolith's one store); :func:`manifest_entries` reads it back."""
+    if list(stores) == [None]:
+        return dict(stores[None].to_manifest())
+    return {"shards": {sid: store.to_manifest()
+                       for sid, store in stores.items()}}
+
+
+def manifest_entries(manifest: Dict[str, object]
+                     ) -> Dict[Optional[str], Dict[str, object]]:
+    """Shard id → that store's manifest entry (``segments`` in fold
+    order, ``next_seg``) from a ``segmanifest`` payload.  A monolith's
+    manifest is its one store's entry, under ``None``; a cluster's names
+    its shards, in shard-map order, under ``shards``."""
+    shards = manifest.get("shards")
+    return {None: manifest} if shards is None else dict(shards)
+
+
 class SegmentStore:
     """The memtable + sealed log (+ frozen list, when durable) behind
     every engine.
@@ -164,7 +192,8 @@ class SegmentStore:
         #: append-only seal order for replica catch-up; truncated at the
         #: replicas' min cursor, never rewritten by compaction
         self.sealed_log: List[Segment] = []
-        #: segment ids with a current ``seg:<id>`` device record
+        #: segment ids this store wrote (or was loaded from) — a record
+        #: of the same id it did not write belongs to an earlier engine
         self.persisted: Set[str] = set()
         self.seal_threshold = seal_threshold
         self.compact_threshold = compact_threshold
@@ -302,9 +331,9 @@ class SegmentStore:
         """Install a synthetic base segment covering *rows*.
 
         Used when an owner claims a store over pre-existing engine state
-        (e.g. a restore from a ``cbaindex`` snapshot): later compactions
-        and segment restores need every live document to have an upsert
-        row somewhere in the frozen list.
+        (e.g. an adopted engine that was populated before the adoption):
+        later compactions and segment restores need every live document
+        to have an upsert row somewhere in the frozen list.
         """
         if not rows:
             return

@@ -68,16 +68,29 @@ class ClusterFactory:
         return ShardedSearchCluster(
             loader, self.shard_ids, num_blocks=num_blocks,
             transducer=transducer, counters=counters, fast_path=fast_path,
-            clock=clock, latency=self.latency, seed=self.seed,
-            retry_factory=self.retry_factory,
-            breaker_factory=self.breaker_factory,
-            replicas_per_shard=self.replicas_per_shard, cas=self.cas)
+            clock=clock, **self._knobs())
 
-    def from_obj(self, obj, *, loader, counters=None, clock=None,
-                 transducer=None, fast_path: bool = True
-                 ) -> ShardedSearchCluster:
-        return ShardedSearchCluster.from_obj(
-            obj, loader, transducer=transducer, counters=counters,
-            fast_path=fast_path, clock=clock, latency=self.latency,
-            seed=self.seed, retry_factory=self.retry_factory,
-            breaker_factory=self.breaker_factory, cas=self.cas)
+    def from_segments(self, stores, *, loader, next_doc_id: int = 0,
+                      counters=None, clock=None, transducer=None,
+                      num_blocks: int = DEFAULT_NUM_BLOCKS,
+                      fast_path: bool = True):
+        """Fold a persisted segment list back into an engine with zero
+        tokenisation.  The persisted topology wins over ``shards=``: shard
+        id → store restores those shards (with this factory's transport,
+        replica and CAS knobs); a single store restores the monolith it
+        came from."""
+        build = dict(loader=loader, next_doc_id=next_doc_id,
+                     counters=counters, clock=clock, transducer=transducer,
+                     num_blocks=num_blocks, fast_path=fast_path)
+        if not isinstance(stores, dict):
+            from repro.cba.backend import MonolithFactory
+
+            return MonolithFactory().from_segments(stores, **build)
+        return ShardedSearchCluster.from_segments(stores, **build,
+                                                  **self._knobs())
+
+    def _knobs(self):
+        return dict(latency=self.latency, seed=self.seed,
+                    retry_factory=self.retry_factory,
+                    breaker_factory=self.breaker_factory,
+                    replicas_per_shard=self.replicas_per_shard, cas=self.cas)

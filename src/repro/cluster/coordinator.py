@@ -70,6 +70,7 @@ from repro.cba.queryast import (
     ScopeTerm,
     Term,
 )
+from repro.cba.segments import SegmentStore
 from repro.cba.tokenizer import DEFAULT_STOPWORDS
 from repro.cba.transducers import Transducer
 from repro.remote.rpc import CircuitBreaker, RetryPolicy, RpcTransport
@@ -322,6 +323,9 @@ class ShardedSearchCluster:
         #: how many read replicas each shard attaches on first snapshot use
         self._published_version = 0
         self.replicas_per_shard = replicas_per_shard
+        #: set by :meth:`claim_segments`: an owner persists every shard
+        #: engine's segment store, shards added later included
+        self._durable = False
         self.shardmap = ShardMap(shard_ids)
         self.shards: Dict[str, SearchShard] = {
             sid: self._build_shard(sid) for sid in self.shardmap.shard_ids}
@@ -340,19 +344,29 @@ class ShardedSearchCluster:
         #: the degradation flag HAC turns into per-directory staleness
         self.missing_shards: Set[str] = set()
 
-    def _build_shard(self, shard_id: str) -> SearchShard:
-        engine = CBAEngine(loader=self.loader, num_blocks=self.num_blocks,
-                           min_term_length=self.min_term_length,
-                           stopwords=self.stopwords,
-                           transducer=self.transducer,
-                           cache_size=0,  # answers depend on shipped blocks
-                           counters=self.counters, fast_path=self.fast_path,
-                           cas=self._cas_enabled)
+    def _shard_engine(self, store: Optional[SegmentStore] = None
+                      ) -> CBAEngine:
+        """A shard engine in this cluster's configuration: empty, or
+        folded from a persisted segment *store*."""
+        options = dict(loader=self.loader, num_blocks=self.num_blocks,
+                       min_term_length=self.min_term_length,
+                       stopwords=self.stopwords, transducer=self.transducer,
+                       cache_size=0,  # answers depend on shipped blocks
+                       counters=self.counters, fast_path=self.fast_path,
+                       cas=self._cas_enabled)
+        engine = (CBAEngine(**options) if store is None
+                  else CBAEngine.from_segments(store, **options))
         engine.tracer = self._tracer
         engine.metrics = self._metrics
         # a shard added mid-life starts at the cluster's published version,
         # so lockstep publishes keep every shard's version equal
         engine._published_version = self._published_version
+        if self._durable:
+            engine.claim_segments()
+        return engine
+
+    def _build_shard(self, shard_id: str) -> SearchShard:
+        engine = self._shard_engine()
         breaker = (self._breaker_factory(shard_id) if self._breaker_factory
                    else CircuitBreaker(failure_threshold=BREAKER_THRESHOLD,
                                        cooldown=BREAKER_COOLDOWN,
@@ -392,6 +406,13 @@ class ShardedSearchCluster:
         self._metrics = value
         for shard in self.shards.values():
             shard.engine.metrics = value
+
+    def claim_segments(self) -> None:
+        """Mark every shard engine's segment store durable: the owning
+        file system persists one store per shard.  Idempotent."""
+        self._durable = True
+        for shard in self.shards.values():
+            shard.engine.claim_segments()
 
     # ------------------------------------------------------------------
     # registry (authoritative; shard registries are routing copies)
@@ -902,7 +923,7 @@ class ShardedSearchCluster:
         return plan
 
     # ------------------------------------------------------------------
-    # reporting and persistence
+    # reporting and restore
     # ------------------------------------------------------------------
 
     def index_size_bytes(self) -> int:
@@ -915,66 +936,32 @@ class ShardedSearchCluster:
     def corpus_bytes(self) -> int:
         return sum(doc.size for doc in self._docs.values())
 
-    def to_obj(self):
-        """Dump shards + registry to plain primitives (same ``(str, int)``
-        key assumption as :meth:`CBAEngine.to_obj`)."""
-        return {
-            "cluster": 1,
-            "num_blocks": self.num_blocks,
-            "shard_ids": list(self.shardmap.shard_ids),
-            "shards": {sid: shard.engine.to_obj()
-                       for sid, shard in self.shards.items()},
-            "docs": [[doc.doc_id, list(doc.key), doc.path, doc.mtime,
-                      doc.size, self._owners[doc.doc_id]]
-                     for doc in self._docs.values()],
-            "next": self._next_doc_id,
-        }
-
     @classmethod
-    def from_obj(cls, obj, loader: Callable[[Hashable], str], *,
-                 min_term_length: int = 2,
-                 stopwords: Optional[Set[str]] = None,
-                 transducer: Optional[Transducer] = None,
-                 counters: Optional[Counters] = None,
-                 fast_path: bool = True,
-                 clock: Optional[VirtualClock] = None,
-                 latency: float = 0.05,
-                 seed: int = 0,
-                 retry_factory: Optional[Callable[[str], RetryPolicy]] = None,
-                 breaker_factory: Optional[
-                     Callable[[str], CircuitBreaker]] = None,
-                 cas: bool = True
-                 ) -> "ShardedSearchCluster":
-        """Rebuild a cluster from :meth:`to_obj` output without re-reading
-        or re-tokenising a single document."""
-        cluster = cls(loader, obj["shard_ids"],
-                      num_blocks=obj.get("num_blocks", DEFAULT_NUM_BLOCKS),
-                      min_term_length=min_term_length, stopwords=stopwords,
-                      transducer=transducer, counters=counters,
-                      fast_path=fast_path, clock=clock, latency=latency,
-                      seed=seed, retry_factory=retry_factory,
-                      breaker_factory=breaker_factory, cas=cas)
+    def from_segments(cls, stores: Dict[str, SegmentStore],
+                      loader: Callable[[Hashable], str],
+                      next_doc_id: int = 0,
+                      **options) -> "ShardedSearchCluster":
+        """Rebuild a cluster from one persisted segment store per shard
+        (shard id → store, in shard-map order): each shard engine is
+        folded by :meth:`CBAEngine.from_segments` and the coordinator's
+        registry is rebuilt from the shard registries — global doc ids
+        survive, nothing is re-read or re-tokenised.  *options* are the
+        constructor's."""
+        cluster = cls(loader, list(stores), **options)
+        owners: Dict[int, str] = {}
         for sid, shard in cluster.shards.items():
-            engine = CBAEngine.from_obj(obj["shards"][sid], loader=loader,
-                                        transducer=transducer,
-                                        counters=cluster.counters,
-                                        fast_path=fast_path, cache_size=0,
-                                        cas=cas)
-            # from_obj builds with tokeniser defaults; restore the
-            # cluster's configuration for post-restore maintenance
-            engine.min_term_length = cluster.min_term_length
-            engine.stopwords = cluster.stopwords
-            engine.tracer = cluster._tracer
-            engine.metrics = cluster._metrics
-            shard.engine = engine
-        for doc_id, raw_key, path, mtime, size, owner in obj["docs"]:
-            key = (raw_key[0], raw_key[1])
-            cluster._docs[doc_id] = Document(doc_id, key, path, mtime, size)
-            cluster._by_key[key] = doc_id
-            cluster._owners[doc_id] = owner
-            cluster._members[owner].add(doc_id)
+            shard.engine = cluster._shard_engine(stores[sid])
+            owners.update(dict.fromkeys(shard.engine.all_docs(), sid))
+        for doc_id in sorted(owners):
+            sid = owners[doc_id]
+            doc = cluster.shards[sid].engine.doc_by_id(doc_id)
+            cluster._docs[doc_id] = doc
+            cluster._by_key[doc.key] = doc_id
+            cluster._owners[doc_id] = sid
+            cluster._members[sid].add(doc_id)
             cluster._all.add(doc_id)
-        cluster._next_doc_id = obj["next"]
+            next_doc_id = max(next_doc_id, doc_id + 1)
+        cluster._next_doc_id = next_doc_id
         cluster._stats.add("restored_docs", len(cluster._docs))
         return cluster
 

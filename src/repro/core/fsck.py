@@ -195,28 +195,32 @@ def _check_links(hacfs, repair: bool) -> List[Finding]:
 
 def _check_segments(hacfs, repair: bool = False) -> List[Finding]:
     """Segment-store agreement: every ``seg:`` record on the device must
-    be named by the ``segmanifest``, and every manifest entry must have a
-    record.  An orphan record is data a crashed (un-rolled-back) seal or
-    compaction left behind; a missing record means the manifest promises
-    state recovery cannot deliver.  ``repair`` deletes orphan records
-    (they are unreachable by construction — restore folds only what the
-    manifest names)."""
+    be named by the ``segmanifest`` (per shard, for a cluster), and every
+    manifest entry must have a record.  An orphan record is data a
+    crashed (un-rolled-back) seal or compaction left behind; a missing
+    record means the manifest promises state recovery cannot deliver.
+    ``repair`` deletes orphan records (they are unreachable by
+    construction — restore folds only what the manifest names)."""
+    from repro.cba.segments import manifest_entries, record_key
+
     out: List[Finding] = []
     device = hacfs.fs.device
-    on_device = {key[4:] for key in device.record_keys()
+    on_device = {key for key in device.record_keys()
                  if key.startswith("seg:")}
     try:
         manifest = hacfs.meta.load_aux("segmanifest") or {}
     except Exception:
         manifest = {}
-    named = set(manifest.get("segments", ()))
-    for seg_id in sorted(on_device - named):
-        out.append(Finding("error", "orphan-segment", f"seg:{seg_id}",
+    named = {record_key(shard, seg_id)
+             for shard, entry in manifest_entries(manifest).items()
+             for seg_id in entry.get("segments", ())}
+    for key in sorted(on_device - named):
+        out.append(Finding("error", "orphan-segment", key,
                            "segment record not named by the manifest"))
         if repair:
-            device.delete_record(f"seg:{seg_id}")
-    for seg_id in sorted(named - on_device):
-        out.append(Finding("error", "missing-segment", f"seg:{seg_id}",
+            device.delete_record(key)
+    for key in sorted(named - on_device):
+        out.append(Finding("error", "missing-segment", key,
                            "manifest names a segment with no record"))
     return out
 

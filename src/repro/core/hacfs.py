@@ -45,7 +45,7 @@ from repro.vfs.filesystem import FileSystem, StatResult
 from repro.vfs.inode import FileNode, SymlinkNode
 from repro.vfs.walker import walk
 from repro.cba import agrep
-from repro.cba.backend import MonolithFactory, open_backend
+from repro.cba.backend import open_backend
 from repro.cba.incremental import ReindexPlan
 from repro.cba.queryast import content_projection
 from repro.cba.queryparser import parse_query
@@ -147,13 +147,14 @@ class HacFileSystem:
         self.tenants = TenantManager(self)
 
     def _install_engine(self, engine) -> None:
-        """Make *engine* this file system's CBA engine.  A monolith
-        engine's segment store is claimed — this file system persists it
-        (``_persist_segments``), so it notes every mutation and keeps a
-        frozen list; a cluster's shards keep theirs replica-only."""
+        """Make *engine* this file system's CBA engine and claim its
+        segment stores — the monolith's one, or one per cluster shard.
+        This file system persists them (``_persist_segments``), so they
+        note every mutation and keep a frozen list."""
         self.engine = engine
-        if getattr(engine, "segments", None) is not None:
-            engine.claim_segments()
+        claim = getattr(engine, "claim_segments", None)
+        if callable(claim):
+            claim()
         self._wire_obs()
 
     # ==================================================================
@@ -899,9 +900,19 @@ class HacFileSystem:
         version = self.engine.publish()
         self.journal.note_publish(version)
 
+    def _segment_stores(self):
+        """Shard id → segment store of the installed engine, in
+        shard-map order; a monolith's one store sits under ``None``."""
+        shards = getattr(self.engine, "shards", None)
+        if shards is not None:
+            return {sid: shard.engine.segments
+                    for sid, shard in shards.items()}
+        store = getattr(self.engine, "segments", None)
+        return {} if store is None else {None: store}
+
     def _persist_segments(self, force_seal: bool = False,
                           force_compact: bool = False) -> None:
-        """Seal/compact the engine's segment store and sync it to disk.
+        """Seal/compact the engine's segment stores and sync them to disk.
 
         MUST run inside an open journal intent: segment records and the
         manifest are written (and compacted-away records deleted) under
@@ -909,40 +920,47 @@ class HacFileSystem:
         rolls the whole segment list back to its pre-intent state.  The
         scheduler calls this from every ``sched_batch`` drain
         (threshold-policed); ``reindex`` forces a full seal + merge —
-        reindex *is* compaction.  A cluster keeps no store at the
-        coordinator, which makes this a no-op.
+        reindex *is* compaction.  A cluster persists one store per shard
+        under shard-qualified record keys, and any ``seg:`` record the
+        installed engine does not own — an adopted engine's predecessor's,
+        a removed shard's — is deleted, so the manifest always describes
+        the engine that is running.
         """
-        store = getattr(self.engine, "segments", None)
-        if store is None:
-            return
+        from repro.cba.segments import build_manifest, record_key
         from repro.util import serialization
 
+        stores = self._segment_stores()
         device = self.fs.device
         changed = False
-        if force_seal or store.should_seal:
-            with self.obs.trace.span("cba.seal", rows=len(store.memtable)):
-                changed = store.seal() is not None or changed
-        if force_compact or store.should_compact:
-            with self.obs.trace.span("cba.compact",
-                                     segments=len(store.frozen)):
-                changed = store.compact() is not None or changed
+        for store in stores.values():
+            if force_seal or store.should_seal:
+                with self.obs.trace.span("cba.seal", rows=len(store.memtable)):
+                    changed = store.seal() is not None or changed
+            if force_compact or store.should_compact:
+                with self.obs.trace.span("cba.compact",
+                                         segments=len(store.frozen)):
+                    changed = store.compact() is not None or changed
         # on-device truth, not the in-memory set: a soft-failure rollback
         # can restore records underneath us, and re-deriving what needs
         # writing from record_keys() self-heals that divergence
-        on_device = {key[4:] for key in device.record_keys()
+        on_device = {key for key in device.record_keys()
                      if key.startswith("seg:")}
-        live = {seg.seg_id for seg in store.frozen}
-        for seg in store.frozen:
-            if seg.seg_id not in on_device:
-                device.write_record(f"seg:{seg.seg_id}",
-                                    serialization.dumps(seg.to_obj()))
-                changed = True
-        for seg_id in sorted(on_device - live):
-            device.delete_record(f"seg:{seg_id}")
+        live = set()
+        for shard, store in stores.items():
+            for seg in store.frozen:
+                key = record_key(shard, seg.seg_id)
+                live.add(key)
+                # a record this store did not write is an earlier
+                # engine's segment that happens to share the id
+                if key not in on_device or seg.seg_id not in store.persisted:
+                    device.write_record(key, serialization.dumps(seg.to_obj()))
+                    changed = True
+            store.persisted = {seg.seg_id for seg in store.frozen}
+        for key in sorted(on_device - live):
+            device.delete_record(key)
             changed = True
-        store.persisted = live
         if changed:
-            manifest = dict(store.to_manifest())
+            manifest = build_manifest(stores)
             manifest["next"] = getattr(self.engine, "_next_doc_id", 0)
             manifest["num_blocks"] = self.engine.num_blocks
             self.meta.flush_aux("segmanifest", manifest)
@@ -1030,6 +1048,9 @@ class HacFileSystem:
         ``smkcluster``) — and bring it in line with the tree: the new
         engine is wired into the observability plane, the corpus is
         (re)indexed into it, and every semantic directory is re-evaluated.
+        The ``ssync``'s reindex persists the new engine's segments and
+        deletes the old engine's, so a later :meth:`restore` brings back
+        the adopted engine.
         """
         self._hac.add("adopt_engine")
         # drain into the *old* engine first: pending entries carry doc ids
@@ -1042,22 +1063,6 @@ class HacFileSystem:
     # ==================================================================
     # reporting / durability
     # ==================================================================
-
-    def save_index(self) -> int:
-        """Persist the content index to the device (Glimpse's index files).
-
-        :meth:`restore` will then rebuild the engine without re-reading the
-        corpus — recovery cost drops from Θ(corpus) to Θ(changes since the
-        save).  Returns the persisted record size in bytes.
-        """
-        self._hac.add("save_index")
-        from repro.util import serialization
-
-        self.maintenance.barrier()
-        record = serialization.dumps(self.engine.to_obj())
-        with self._journaled("save_index", {}):
-            self.fs.device.write_record("cbaindex", record)
-        return len(record)
 
     def metadata_bytes(self) -> int:
         return self.meta.metadata_bytes()
@@ -1093,15 +1098,15 @@ class HacFileSystem:
         healed records before anything is rebuilt — see
         :mod:`repro.core.recovery`; the report lands in ``last_recovery``.
 
-        Link classifications and queries come back verbatim; the content
-        index is restored from the persisted copy when one exists (see
-        :meth:`save_index`), else — for the monolith — merged back from
-        the persisted segment list with zero tokenisation
-        (reindex-as-merge), and brought current by an incremental sync;
-        it is rebuilt from scratch only when neither record exists.  An
-        *unreadable* ``cbaindex`` record is neither: it raises
-        :class:`~repro.errors.CorruptRecord` (and counts
-        ``restore.index_corrupt``) instead of silently rebuilding — a
+        Link classifications and queries come back verbatim.  The content
+        index is folded back from the persisted segment list with zero
+        tokenisation (reindex-as-merge) when a usable ``segmanifest``
+        exists — its topology decides the engine kind, so a manifest
+        naming shards restores a cluster whatever *backend* says — and is
+        built fresh by *backend* otherwise; either way an incremental
+        sync then brings it current.  An *unreadable* segment record
+        raises :class:`~repro.errors.CorruptRecord` (and counts
+        ``restore.segment_corrupt``) instead of silently rebuilding — a
         checksum failure means data loss the caller must acknowledge
         (``reuse_index=False`` opts into the rebuild)."""
         from repro.core.recovery import (RecoveryReport, recover_records,
@@ -1129,64 +1134,73 @@ class HacFileSystem:
         build = dict(loader=hacfs._load_doc, counters=hacfs.counters,
                      clock=hacfs.clock, transducer=default_transducer,
                      fast_path=fast_path)
-        saved = None
-        if reuse_index:
-            try:
-                saved = hacfs.meta.load_aux("cbaindex")
-            except CorruptRecord:
-                restore_stats.add("index_corrupt")
-                raise
-        if saved is not None:
-            if (isinstance(factory, MonolithFactory)
-                    and isinstance(saved, dict) and saved.get("cluster")):
-                # a persisted sharded index restores as a cluster even when
-                # the caller did not pass the backend it was built with
-                factory = open_backend("cluster")
-            engine = factory.from_obj(saved, **build)
-            restore_stats.add("index_restored")
-        elif (reuse_index and isinstance(factory, MonolithFactory)
-              and (segment_state := cls._load_segments(hacfs)) is not None):
-            store, next_doc, num_blocks = segment_state
-            engine = factory.from_segments(store, next_doc_id=next_doc,
+        persisted = cls._load_segments(hacfs) if reuse_index else None
+        if persisted is not None:
+            stores, next_doc, num_blocks = persisted
+            engine = factory.from_segments(stores, next_doc_id=next_doc,
                                            num_blocks=num_blocks, **build)
             restore_stats.add("index_from_segments")
         else:
             engine = factory(**build)
             restore_stats.add("index_rebuilds")
         hacfs._install_engine(engine)
+        hacfs._refresh_racy_docs()
         hacfs.tenants.reload()
-        # a saved index makes this incremental (Θ(changes), not Θ(corpus))
+        # a folded index makes this incremental (Θ(changes), not Θ(corpus))
         hacfs.ssync("/")
         return hacfs
 
+    def _refresh_racy_docs(self) -> None:
+        """Re-read every folded document whose file changed size but not
+        mtime since its row was persisted.  A rewrite in the clock tick
+        of the last segment persist keeps the mtime the fold restored,
+        so the catch-up sync's mtime diff alone would keep the stale
+        terms — git's "racily clean" index entries.  A same-size rewrite
+        in that tick still slips through; a non-ASCII document (registry
+        size in characters, file size in bytes) is always re-read."""
+        for key, mtime in self.engine.mtime_snapshot().items():
+            entry = self._fs_registry.get(key[0])
+            node = entry[0].node_by_ino(key[1]) if entry else None
+            doc = self.engine.doc_by_key(key)
+            if (isinstance(node, FileNode) and node.attrs.mtime == mtime
+                    and node.attrs.size != doc.size):
+                self.engine.update_document(key, doc.path, mtime)
+                self.counters.add("restore.racy_docs")
+
     @staticmethod
     def _load_segments(hacfs: "HacFileSystem"):
-        """Load the persisted segment list, or ``None`` when there is no
-        usable manifest.  A manifest naming a missing segment record is
-        treated as unusable (counted, rebuild takes over) — recovery has
-        already rolled incomplete intents back, so this only happens when
-        records were lost outside any journaled write.  An unreadable
-        segment raises :class:`~repro.errors.CorruptRecord`, the same
-        acknowledge-your-data-loss contract as ``cbaindex``."""
-        from repro.cba.segments import Segment, SegmentStore
+        """Load the persisted segment list as ``(stores, next doc id,
+        block count)`` — *stores* is one store for a monolith's manifest
+        or shard id → store for a cluster's — or ``None`` when there is
+        no usable manifest.  A manifest naming a missing segment record
+        is treated as unusable (counted, rebuild takes over) — recovery
+        has already rolled incomplete intents back, so this only happens
+        when records were lost outside any journaled write.  An
+        unreadable segment raises :class:`~repro.errors.CorruptRecord`:
+        a checksum failure is data loss the caller must acknowledge."""
+        from repro.cba.segments import (Segment, SegmentStore,
+                                        manifest_entries, record_key)
 
         restore_stats = hacfs.counters.scoped("restore")
+        stores = {}
         try:
             manifest = hacfs.meta.load_aux("segmanifest")
             if not manifest:
                 return None
-            segments = []
-            for seg_id in manifest.get("segments", ()):
-                raw = hacfs.meta.load_aux(f"seg:{seg_id}")
-                if raw is None:
-                    restore_stats.add("segment_missing")
-                    return None
-                segments.append(Segment.from_obj(raw))
+            for shard, entry in manifest_entries(manifest).items():
+                segments = []
+                for seg_id in entry.get("segments", ()):
+                    raw = hacfs.meta.load_aux(record_key(shard, seg_id))
+                    if raw is None:
+                        restore_stats.add("segment_missing")
+                        return None
+                    segments.append(Segment.from_obj(raw))
+                store = stores[shard] = SegmentStore(counters=hacfs.counters)
+                store.load_frozen(entry, segments)
         except CorruptRecord:
             restore_stats.add("segment_corrupt")
             raise
-        store = SegmentStore(counters=hacfs.counters)
-        store.load_frozen(manifest, segments)
-        return (store, int(manifest.get("next", 0)),
+        if None in stores:  # a monolith's manifest: its one store
+            stores = stores[None]
+        return (stores, int(manifest.get("next", 0)),
                 int(manifest.get("num_blocks", 64)))
-

@@ -122,9 +122,9 @@ def _undo_one(hacfs: "HacFileSystem", intent: PendingIntent,
             report.tree_fixes += 1
     elif op == "rename":
         _undo_rename(hacfs, payload, report)
-    # set_query / reindex / ssync / save_index / sched_batch (the
-    # maintenance pipeline's group commit — its payload deliberately
-    # carries counts, not paths) touch no tree structure of their own;
+    # set_query / reindex / ssync / sched_batch (the maintenance
+    # pipeline's group commit — its payload deliberately carries counts,
+    # not paths) touch no tree structure of their own;
     # their symlink churn is handled by reconciliation below
     for uid in _touched_uids(hacfs, intent):
         _reconcile_links(hacfs, uid, report)

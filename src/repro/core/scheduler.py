@@ -295,8 +295,8 @@ class MaintenanceScheduler:
 
     def barrier(self, tenant: Optional[str] = None) -> int:
         """The pre-query drain: semantic re-evaluation, ``ssync``/
-        ``reindex``, ``save_index``, ``fsck`` and engine adoption call
-        this first so no consumer ever observes a torn batch.  A no-op
+        ``reindex``, ``fsck`` and engine adoption call this first so no
+        consumer ever observes a torn batch.  A no-op
         mid-drain (the drain's own cascade lands here) and when nothing
         is pending.
 

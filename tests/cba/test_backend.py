@@ -205,11 +205,11 @@ class TestOpenBackend:
 
         hac = HacFileSystem()
         assert type(hac.engine) is CBAEngine
-        # the file system persists its monolith's store, so it claims it
+        # the file system persists its engine's stores, so it claims them
         assert hac.engine.segments.durable
         clustered = HacFileSystem(backend="cluster:2")
-        assert not any(shard.engine.segments.durable
-                       for shard in clustered.engine.shards.values())
+        assert all(shard.engine.segments.durable
+                   for shard in clustered.engine.shards.values())
 
     def test_backend_kwarg_is_the_replacement(self):
         import warnings
@@ -228,7 +228,7 @@ class TestOpenBackend:
         hac.makedirs("/notes")
         hac.write_file("/notes/a.txt", b"fingerprint ridges")
         hac.ssync("/")
-        hac.save_index()
         again = HacFileSystem.restore(hac.fs, backend="cluster:2")
         assert len(again.engine.shards) == 2
-        assert len(again.engine) == 1  # the saved index came back
+        assert len(again.engine) == 1  # the persisted segments came back
+        assert again.counters.get("engine.indexed") == 0

@@ -131,17 +131,21 @@ class TestDegradation:
         assert cfs.health("/q")["directories"]["/q"]["degraded_shards"][sid] == first  # not re-stamped
 
 
+def _segment_records(hacfs):
+    return sorted(k for k in hacfs.fs.device.record_keys()
+                  if k.startswith("seg:"))
+
+
 class TestPersistence:
     def test_restore_autodetects_cluster(self, cfs):
-        cfs.save_index()
         again = HacFileSystem.restore(cfs.fs)
         assert isinstance(again.engine, ShardedSearchCluster)
+        assert again.counters.get("restore.index_from_segments") == 1
         assert set(again.links("/q")) == {"fp-design.txt", "msg1.txt",
                                           "match.c"}
         assert again.fsck() == []
 
     def test_restore_with_factory_and_saved_index(self, cfs):
-        cfs.save_index()
         again = HacFileSystem.restore(
             cfs.fs, backend=ClusterFactory(shards=3))
         assert isinstance(again.engine, ShardedSearchCluster)
@@ -149,22 +153,69 @@ class TestPersistence:
         assert set(again.links("/q")) == set(cfs.links("/q"))
 
     def test_restore_with_factory_builds_fresh_when_unsaved(self, cfs):
-        # no save_index(): the factory must rebuild from the corpus
+        # a lost manifest leaves nothing to fold: the factory must
+        # rebuild from the corpus, in its own topology
+        cfs.fs.device.delete_record("segmanifest")
         again = HacFileSystem.restore(
             cfs.fs, backend=ClusterFactory(shards=2))
         assert isinstance(again.engine, ShardedSearchCluster)
         assert len(again.engine.shards) == 2
+        assert again.counters.get("restore.index_rebuilds") == 1
         again.ssync("/")
         assert set(again.links("/q")) == {"fp-design.txt", "msg1.txt",
                                           "match.c"}
 
+    def test_manifest_topology_wins_over_factory_shards(self, cfs):
+        again = HacFileSystem.restore(
+            cfs.fs, backend=ClusterFactory(shards=2))
+        assert set(again.engine.shards) == set(cfs.engine.shards)
+        assert again.counters.get("engine.indexed") == 0
+
     def test_restored_cluster_accepts_incremental_sync(self, cfs):
-        cfs.save_index()
         again = HacFileSystem.restore(cfs.fs)
         again.write_file("/mail/msg2.txt", b"fingerprint follow-up\n")
         again.clock.tick()
         again.ssync("/")
         assert "msg2.txt" in again.links("/q")
+
+    def test_shard_records_are_shard_qualified(self, cfs):
+        records = _segment_records(cfs)
+        assert records
+        assert {k.split(":", 1)[1].split("/")[0] for k in records} \
+            <= set(cfs.engine.shards)
+        manifest = cfs.meta.load_aux("segmanifest")
+        assert list(manifest["shards"]) == list(cfs.engine.shards)
+
+    def test_restored_cluster_keeps_replicas_per_shard(self):
+        factory = ClusterFactory(shards=3, replicas_per_shard=2)
+        hac = HacFileSystem(backend=factory)
+        populate(hac)
+        again = HacFileSystem.restore(hac.fs, backend=factory)
+        assert again.counters.get("restore.index_from_segments") == 1
+        again.engine.snapshot_view()
+        assert [len(shard.engine.replicas)
+                for shard in again.engine.shards.values()] == [2, 2, 2]
+
+    def test_adopted_cluster_replaces_the_persisted_monolith(self):
+        hac = HacFileSystem()
+        populate(hac)
+        monolith_records = _segment_records(hac)
+        assert monolith_records  # the monolith persisted its segments
+        hac.adopt_engine(ClusterFactory(shards=3)(
+            hac._load_doc, counters=hac.counters, clock=hac.clock))
+        hac.write_file("/notes/late.txt", b"a late fingerprint note\n")
+        hac.clock.tick()
+        hac.reindex("/")
+        records = _segment_records(hac)
+        # no orphan: every record belongs to a shard of the new engine
+        assert not set(records) & set(monolith_records)
+        assert all("/" in key for key in records)
+        assert hac.fsck() == []
+        again = HacFileSystem.restore(hac.fs)
+        assert isinstance(again.engine, ShardedSearchCluster)
+        assert again.counters.get("restore.index_from_segments") == 1
+        assert again.counters.get("engine.indexed") == 0
+        assert len(again.engine) == len(hac.engine)
 
 
 class TestShell:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cba.engine import CBAEngine
 from repro.cba.queryparser import parse_query
+from repro.cba.segments import Segment, SegmentStore
 from repro.cba.transducers import default_transducer
 from repro.cluster import (ClusterFactory, RebalancePlan, ShardedSearchCluster,
                            ShardMap)
@@ -368,11 +369,27 @@ class TestRebalance:
             clu.add_shard("only")
 
 
+def _persisted(clu):
+    """Claim, seal and serialise every shard's store — the segment list
+    an owning file system persists — and read it back, shard by shard."""
+    clu.claim_segments()
+    stores = {}
+    for sid, shard in clu.shards.items():
+        src = shard.engine.segments
+        src.seal()
+        stores[sid] = SegmentStore()
+        stores[sid].load_frozen(src.to_manifest(),
+                                [Segment.from_obj(seg.to_obj())
+                                 for seg in src.frozen])
+    return stores
+
+
 class TestPersistence:
     def test_roundtrip_is_bit_identical(self, cluster, mono, store):
-        obj = cluster.to_obj()
-        again = ShardedSearchCluster.from_obj(obj,
-                                              lambda k: store.get(k, ""))
+        counters = Counters()
+        again = ShardedSearchCluster.from_segments(
+            _persisted(cluster), lambda k: store.get(k, ""),
+            num_blocks=4, counters=counters)
         for text in TestSearch.QUERIES:
             ast = parse_query(text)
             assert again.search(ast).to_bytes() == \
@@ -381,27 +398,32 @@ class TestPersistence:
         assert again.shardmap.shard_ids == cluster.shardmap.shard_ids
         for sid in again.shardmap.shard_ids:
             assert again.members(sid) == cluster.members(sid)
+        assert counters.get("engine.tokenisations") == 0
 
     def test_restored_cluster_accepts_maintenance(self, cluster, store):
-        again = ShardedSearchCluster.from_obj(cluster.to_obj(),
-                                              lambda k: store.get(k, ""))
+        again = ShardedSearchCluster.from_segments(
+            _persisted(cluster), lambda k: store.get(k, ""), num_blocks=4)
         store[("fs", 8)] = "omega arrival"
         doc_id = again.index_document(("fs", 8), "/f8.txt", 2.0)
         assert doc_id == len(TEXTS)  # next id restored
         assert sorted(again.search(parse_query("omega"))) == [doc_id]
 
     def test_factory_builds_and_restores(self, store):
-        factory = ClusterFactory(shards=2, latency=0.0)
+        factory = ClusterFactory(shards=2, latency=0.0, replicas_per_shard=2)
         counters = Counters()
         clu = factory(lambda k: store.get(k, ""), counters=counters,
                       num_blocks=4)
         assert clu.shardmap.shard_ids == ("shard0", "shard1")
         for key in sorted(store):
             clu.index_document(key, f"/f{key[1]}", 1.0)
-        again = factory.from_obj(clu.to_obj(),
-                                 loader=lambda k: store.get(k, ""))
+        again = factory.from_segments(_persisted(clu),
+                                      loader=lambda k: store.get(k, ""),
+                                      num_blocks=4)
         ast = parse_query("alpha AND beta")
         assert again.search(ast).to_bytes() == clu.search(ast).to_bytes()
+        # the factory's knobs ride along; the stores' topology wins
+        assert again.replicas_per_shard == 2
+        assert again.shardmap.shard_ids == clu.shardmap.shard_ids
 
 
 class TestObservability:

@@ -80,7 +80,6 @@ class TestEnospcAtomicity:
 
 class TestRestoreRecovery:
     def test_clean_reopen_reports_clean_recovery(self, populated):
-        populated.save_index()
         restored = HacFileSystem.restore(populated.fs)
         assert restored.last_recovery.clean
         assert errors(restored) == []
@@ -129,6 +128,12 @@ class TestRestoreRecovery:
         assert "pending-intent" in kinds
 
 
+def _segment_key(hacfs):
+    """The record key of the first segment the manifest names."""
+    manifest = hacfs.meta.load_aux("segmanifest")
+    return f"seg:{manifest['segments'][0]}"
+
+
 class TestIndexRestoreDistinction:
     def test_no_record_restores_from_segments_and_counts(self, populated):
         from repro.util.stats import Counters
@@ -137,7 +142,6 @@ class TestIndexRestoreDistinction:
         restored = HacFileSystem.restore(populated.fs, counters=counters)
         assert counters.get("restore.index_from_segments") == 1
         assert counters.get("restore.index_rebuilds") == 0
-        assert counters.get("restore.index_restored") == 0
         assert errors(restored) == []
 
     def test_no_record_no_segments_rebuilds_and_counts(self, populated):
@@ -147,44 +151,44 @@ class TestIndexRestoreDistinction:
         restored = HacFileSystem.restore(populated.fs, counters=counters,
                                          reuse_index=False)
         assert counters.get("restore.index_rebuilds") == 1
-        assert counters.get("restore.index_restored") == 0
+        assert counters.get("restore.index_from_segments") == 0
         assert errors(restored) == []
 
     def test_saved_record_restores_and_counts(self, populated):
         from repro.util.stats import Counters
 
-        populated.save_index()
+        populated.write_file("/notes/late.txt", b"a late fingerprint note")
+        populated.reindex("/")
         counters = Counters()
         restored = HacFileSystem.restore(populated.fs, counters=counters)
-        assert counters.get("restore.index_restored") == 1
+        assert counters.get("restore.index_from_segments") == 1
         assert counters.get("restore.index_rebuilds") == 0
+        assert counters.get("engine.tokenisations") == 0
         assert errors(restored) == []
 
     def test_corrupt_record_raises_instead_of_silent_rebuild(self, populated):
         from repro.util.stats import Counters
 
-        populated.save_index()
-        populated.fs.device.corrupt_record("cbaindex")
+        populated.fs.device.corrupt_record(_segment_key(populated))
         counters = Counters()
         with pytest.raises(CorruptRecord):
             HacFileSystem.restore(populated.fs, counters=counters)
-        assert counters.get("restore.index_corrupt") == 1
+        assert counters.get("restore.segment_corrupt") == 1
 
     def test_corrupt_record_is_an_fsck_finding(self, populated):
-        populated.save_index()
-        populated.fs.device.corrupt_record("cbaindex")
+        key = _segment_key(populated)
+        populated.fs.device.corrupt_record(key)
         findings = [f for f in populated.fsck()
                     if f.kind == "corrupt-record" and f.severity == "error"]
-        assert findings and findings[0].path == "cbaindex"
+        assert findings and findings[0].path == key
 
     def test_reuse_index_false_opts_into_rebuild(self, populated):
-        populated.save_index()
-        populated.fs.device.corrupt_record("cbaindex")
+        populated.fs.device.corrupt_record(_segment_key(populated))
         restored = HacFileSystem.restore(populated.fs, reuse_index=False)
         assert restored.engine is not None
-        # note: the corrupt record stays on the device and keeps being
-        # reported by fsck until the next save_index overwrites it
-        assert any(f.kind == "corrupt-record" for f in restored.fsck())
+        # the rebuild persists its own segment list, which replaces the
+        # corrupt record: the acknowledged loss leaves nothing behind
+        assert not any(f.kind == "corrupt-record" for f in restored.fsck())
 
 
 class TestPathMapAcrossRestore:
@@ -200,7 +204,6 @@ class TestPathMapAcrossRestore:
         hac.makedirs("/proj/a")
         hac.write_file("/proj/a/f.txt", b"fingerprint data")
         hac.ssync("/")
-        hac.save_index()
         return fs, hac
 
     def test_restore_invalidates_the_pinned_fsid_map(self):

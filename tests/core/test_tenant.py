@@ -245,7 +245,7 @@ class TestRestore:
     def test_tenants_survive_a_reopen(self, hac, acme):
         acme.write_file("/f.txt", b"fingerprint data")
         acme.barrier()
-        hac.save_index()
+        hac.reindex("/")  # seals and persists the segment list
         again = HacFileSystem.restore(hac.fs)
         t = again.tenants.get("acme")
         assert t.ledger.spec.max_bytes == 1000

@@ -320,8 +320,8 @@ def test_segment_cas_runs_group_by_prefix():
 # crash sweep: seal/compact intents leave no cas-divergence behind
 # ----------------------------------------------------------------------
 
-def _deep_world():
-    hac = HacFileSystem()
+def _deep_world(backend=None):
+    hac = HacFileSystem(backend=backend)
     hac.makedirs("/projects/mail/drafts")
     hac.makedirs("/archive")
     for i in range(10):
@@ -334,16 +334,16 @@ def _deep_world():
     return hac
 
 
-@pytest.mark.skipif(K > 0, reason="segment-merge restore is the monolith "
-                                  "engine's path; clusters restore via "
-                                  "their persisted cbaindex")
 @pytest.mark.parametrize("seed", [SEED, SEED + 1, SEED + 2])
 def test_crash_in_seal_drain_leaves_no_cas_divergence(seed):
     """Crash the device mid-drain — inside the journaled seal/compact
     intents — restore, and require the rebuilt CAS index to agree with
     the registry doc-for-doc (no ``cas-divergence``/``cas-containment``
-    findings) and with a scan twin bit-for-bit."""
-    hac = _deep_world()
+    findings) and with a scan twin bit-for-bit.  A cluster restores every
+    shard's CAS index from its own segment list; its scan twin is the
+    union of the shards' naive scans."""
+    hac = _deep_world({"kind": "cluster", "shards": K, "latency": 0.0}
+                      if K else None)
     hac.maintenance.set_mode("batched")
     hac.rename("/projects/mail/drafts", "/archive/drafts")
     for i in range(6):
@@ -364,7 +364,11 @@ def test_crash_in_seal_drain_leaves_no_cas_divergence(seed):
                   "scope:/archive/drafts AND banana",
                   "scope:/projects/mail AND NOT banana"):
         ast = parse_query(query)
-        scan = revived.engine.naive_search(ast)
+        scan = Bitmap()
+        for engine in (
+                [shard.engine for shard in revived.engine.shards.values()]
+                if K else [revived.engine]):
+            scan |= engine.naive_search(ast)
         assert revived.engine.search(ast).to_bytes() == scan.to_bytes(), \
             (seed, query)
 

@@ -133,7 +133,7 @@ def _state_rename_file(hac):
 
 
 def _state_always_applied(hac):
-    # ssync/save_index have no user-visible half state: restore() re-syncs,
+    # ssync/reindex have no user-visible half state: restore() re-syncs,
     # so the world is simply current — the fsck gate is the real assertion
     return "applied"
 
@@ -150,7 +150,11 @@ OPERATIONS = {
     "ssync": (lambda h: (h.write_file("/docs/c.txt", b"late fingerprint\n"),
                          h.clock.tick(), h.ssync("/")),
               _state_always_applied),
-    "save_index": (lambda h: h.save_index(), _state_always_applied),
+    # reindex forces a seal, a compaction and a segment persist, so the
+    # sweep crosses every segment-record write and delete
+    "reindex": (lambda h: (h.write_file("/docs/c.txt", b"late fingerprint\n"),
+                           h.clock.tick(), h.reindex("/")),
+                _state_always_applied),
 }
 
 
