@@ -16,7 +16,8 @@ which the noisy neighbour does not exist at all.  This soak proves that:
   beta's operation stream, fault-free;
 * after healing, ``tenant_digest`` — a SHA-256 over beta's
   tenant-relative tree, its semantic-directory links, and its strong
-  query answers — must match the oracle's digest exactly.
+  query answers — must match the oracle's digest exactly, and every
+  tenant's quota ledger must equal a recount of its tree.
 
 Crashes recover through :meth:`HacFileSystem.restore`, which re-attaches
 the tenant table from its persisted record; the soak re-fetches the
@@ -35,7 +36,7 @@ from repro.vfs.blockdev import FaultPlan
 from repro.util.stats import Counters
 from repro.util.clock import VirtualClock
 from repro.core.hacfs import HacFileSystem
-from repro.core.quota import QuotaSpec
+from repro.core.quota import QuotaSpec, recompute_usage
 from repro.vfs.filesystem import FileSystem
 from repro.workloads.coderepo import CodeRepoGenerator
 from repro.workloads.digilib import DigitalLibraryGenerator
@@ -254,6 +255,13 @@ class TenantIsolationSoak:
             self._stats.add("steps")
         self.world.heal()
         self.oracle.heal()
+        for world in (self.world, self.oracle):
+            for name in world.hac.tenants.names():
+                tenant = world.tenant(name)
+                counted = recompute_usage(world.hac.fs, tenant.root)
+                if tenant.usage() != counted:
+                    self.violations.append(f"tenant {name} ledger "
+                                           f"{tenant.usage()} != {counted}")
         ours = tenant_digest(self.world.tenant("beta"))
         theirs = tenant_digest(self.oracle.tenant("beta"))
         if ours != theirs:

@@ -325,13 +325,12 @@ def _check_tenants(hacfs, repair: bool) -> List[Finding]:
                                f"ledger says {charged}, tree recount says "
                                f"{actual}"))
             if repair:
-                tenant.ledger.inodes = actual["inodes"]
-                tenant.ledger.bytes = actual["bytes"]
+                tenant.recount()
         for resource in ("inodes", "bytes"):
             limit = tenant.ledger.spec.limit_of(resource)
             if limit is not None and actual[resource] > limit:
                 out.append(Finding("warn", "tenant-over-quota", tenant.root,
                                    f"{resource} usage {actual[resource]} "
-                                   f"exceeds the budget {limit} (grew "
-                                   f"outside the facade?)"))
+                                   f"exceeds the budget {limit} (lowered "
+                                   f"by set_quota?)"))
     return out

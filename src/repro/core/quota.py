@@ -1,13 +1,13 @@
 """Per-tenant resource budgets: specs, a charge-before-commit ledger.
 
-The tenant facade (:mod:`repro.core.tenant`) checks every mutation against
-the tenant's :class:`QuotaSpec` *before* delegating to the shared
-:class:`~repro.core.hacfs.HacFileSystem` — a rejected request raises
-:class:`~repro.errors.QuotaExceeded` with nothing to roll back.  Budgets:
+The file system checks every change under a tenant root against the
+tenant's :class:`QuotaSpec` *before* it lands, through its usage hook
+:meth:`~repro.core.tenant.TenantManager.charge` — a rejected change raises
+:class:`~repro.errors.QuotaExceeded` — and commits it after.  Budgets:
 
 * **inodes** — directories and regular files under the tenant root (the
   root itself is free; symlinks are uncharged because semantic-directory
-  re-evaluation materialises and drops them outside the facade);
+  re-evaluation materialises and drops them behind the tenant's back);
 * **bytes** — total file content bytes;
 * **docs** — documents the content index holds under the tenant root
   (checked against the engine's CAS subtree count, so a tenant cannot
@@ -22,8 +22,8 @@ tenant pass cross-checks the ledger against a fresh recount and reports
 any drift as a finding.
 
 Quota checks compose with PR 7's admission control rather than replacing
-it: the facade charges the quota first (per-tenant policy), then the
-underlying op runs the admission gate (whole-system backpressure).
+it: the HAC op runs the admission gate first (whole-system backpressure),
+then the file system charges the quota (per-tenant policy).
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class QuotaSpec:
 
 
 class QuotaLedger:
-    """Running usage for one tenant, charged ahead of every mutation."""
+    """Running usage for one tenant, checked before every mutation."""
 
     __slots__ = ("tenant", "spec", "inodes", "bytes")
 
@@ -112,9 +112,10 @@ class QuotaLedger:
             raise QuotaExceeded(self.tenant, "docs", indexed, limit,
                                 requested=delta)
 
-    def commit(self, resource: str, delta: int) -> None:
-        """Apply a charge (or a release, with negative *delta*)."""
-        setattr(self, resource, max(0, getattr(self, resource) + delta))
+    def commit(self, d_inodes: int, d_bytes: int) -> None:
+        """Apply a charge (or a release, with negative deltas)."""
+        self.inodes = max(0, self.inodes + d_inodes)
+        self.bytes = max(0, self.bytes + d_bytes)
 
     def usage(self) -> Dict[str, int]:
         return {"inodes": self.inodes, "bytes": self.bytes}
@@ -125,17 +126,20 @@ def recompute_usage(fs, root: str) -> Dict[str, int]:
 
     Counts every directory and regular file strictly below *root* (the
     root itself is infrastructure, not tenant usage) and sums file
-    content bytes.  Symlinks are skipped to match the facade's charging
-    policy — re-evaluation materialises and drops them behind the
-    tenant's back, so charging them would make recounts drift from the
-    charged ledger.
+    content bytes.  Symlinks are skipped to match the charging policy of
+    the file system's usage hook — re-evaluation materialises and drops
+    them behind the tenant's back, so charging them would make recounts
+    drift from the charged ledger.  So is the content of a file system
+    mounted below *root*, which *fs*'s hook never sees; the covered
+    directory itself counts.
     """
     from repro.util import pathutil
     from repro.vfs.walker import walk
 
-    inodes = 0
+    inodes = sum(1 for cover, _mounted in fs.mounts()
+                 if pathutil.is_ancestor(root, cover))
     total_bytes = 0
-    for dirpath, dirnames, filenames in walk(fs, root):
+    for dirpath, dirnames, filenames in walk(fs, root, cross_mounts=False):
         if pathutil.canonical(dirpath) != pathutil.canonical(root):
             inodes += 1
         for name in filenames:

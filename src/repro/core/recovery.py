@@ -248,9 +248,10 @@ def rollback_in_process(hacfs: "HacFileSystem", intent) -> RecoveryReport:
     report.records_restored += journal.rollback_active(intent)
     report.rolled_back.append((intent.seq, intent.op))
     hacfs.reload_persisted()
-    undo_tree(hacfs,
-              [PendingIntent(intent.seq, intent.op, intent.payload,
-                             [{"key": k, "existed": True, "data": b""}
-                              for k in intent.capture_order])],
-              report)
+    with hacfs.tenants.undoing():
+        undo_tree(hacfs,
+                  [PendingIntent(intent.seq, intent.op, intent.payload,
+                                 [{"key": k, "existed": True, "data": b""}
+                                  for k in intent.capture_order])],
+                  report)
     return report

@@ -15,10 +15,11 @@ single public API surface:
   ``scope:`` term, which the CAS index answers from its prefix partitions
   in one probe (PR 9) — the *index* stays shared, the *visibility* is
   per-tenant;
-* mutations are charged against the tenant's :class:`QuotaSpec`
-  (:mod:`repro.core.quota`) *before* any bytes land, composing with the
-  admission gate (quota = per-tenant policy, admission = whole-system
-  backpressure);
+* every change under a tenant root — through the facade or from the
+  host — is charged against the tenant's :class:`QuotaSpec`
+  (:mod:`repro.core.quota`) by :meth:`TenantManager.charge`, the file
+  system's usage hook, *before* it lands; it composes with the admission
+  gate (quota = per-tenant policy, admission = whole-system backpressure);
 * every journaled intent a tenant op opens carries the tenant id in its
   payload, every facade op runs under a ``tenant.<op>`` span tagged with
   the tenant, and every maintenance event the op enqueues is attributed to
@@ -33,11 +34,12 @@ B-only fault-free oracle world.
 
 from __future__ import annotations
 
+import inspect
 import re
 from contextlib import contextmanager
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
-from repro.errors import InvalidArgument, UnknownTenant
+from repro.errors import CrossDevice, InvalidArgument, UnknownTenant
 from repro.util import pathutil
 from repro.core.quota import QuotaLedger, QuotaSpec, recompute_usage
 
@@ -73,7 +75,11 @@ class TenantManager:
     def __init__(self, hacfs: "HacFileSystem"):
         self.hacfs = hacfs
         self._tenants: Dict[str, Tenant] = {}
+        #: False while recovery undoes a failed operation (see undoing)
+        self._enforcing = True
         hacfs.maintenance.set_tenant_resolver(self.tenant_of_path)
+        # a reopened file system still carries the crashed instance's hook
+        hacfs.fs.usage_hook = None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -133,10 +139,75 @@ class TenantManager:
         name = rest[1:].split("/", 1)[0]
         return name if name in self._tenants else None
 
+    # -- quota charging -----------------------------------------------------
+
+    def charge(self, path: str, d_inodes: int, d_bytes: int,
+               is_dir: bool = False, moved_from: Optional[str] = None
+               ) -> Optional[Callable[[], None]]:
+        """The file system's usage hook (``FileSystem.usage_hook``): check
+        a change at host *path* against its tenant's budgets — a new
+        regular file against the doc budget too — and return the commit.
+        A file renamed across a tenant boundary moves its charge; a
+        directory raises :class:`~repro.errors.CrossDevice` before
+        anything moves.  The tenant root is never charged."""
+        target, source = self._charged(path), None
+        if moved_from is not None:
+            if self.tenant_of_path(moved_from) == self.tenant_of_path(path):
+                return None
+            if is_dir:
+                raise CrossDevice(path, "rename across a tenant boundary")
+            source = self._charged(moved_from)
+        if target is None and source is None:
+            return None
+        if target is not None and self._enforcing:
+            ledger = target.ledger
+            if d_inodes > 0:
+                ledger.check("inodes", d_inodes)
+            if d_bytes > 0:
+                ledger.check("bytes", d_bytes)
+            if d_inodes > 0 and not is_dir:
+                ledger.check_docs(self._indexed_docs(target))
+
+        def commit() -> None:
+            if source is not None:
+                source.ledger.commit(-d_inodes, -d_bytes)
+            if target is not None:
+                target.ledger.commit(d_inodes, d_bytes)
+        return commit
+
+    def _charged(self, path: str) -> Optional["Tenant"]:
+        """The tenant whose ledger a change at *path* moves, if any."""
+        name = self.tenant_of_path(path)
+        if name is None:
+            return None
+        tenant = self._tenants[name]
+        return None if path == tenant.root else tenant
+
+    def _indexed_docs(self, tenant: "Tenant") -> int:
+        """Documents the shared index holds under *tenant*'s root, plus
+        updates still queued in its drain bucket."""
+        count = 0
+        scope_count = getattr(self.hacfs.engine, "scope_count", None)
+        if callable(scope_count):
+            count = scope_count(tenant.root)
+        pending = self.hacfs.maintenance.pending_by_tenant()
+        return count + pending.get(tenant.name, 0)
+
+    @contextmanager
+    def undoing(self):
+        """Charge without refusing while recovery undoes a failed op: an
+        undo only returns usage to a level the ledger already admitted."""
+        self._enforcing = False
+        try:
+            yield
+        finally:
+            self._enforcing = True
+
     # -- reporting ----------------------------------------------------------
 
     def describe(self) -> Dict[str, Dict[str, object]]:
-        """Per-tenant usage/quota/pending — ``health()``'s tenant section."""
+        """Per-tenant root/usage/quota/pending — ``health()``'s tenant
+        section (and, for one tenant, its own ``health()``'s)."""
         pending = self.hacfs.maintenance.pending_by_tenant()
         out: Dict[str, Dict[str, object]] = {}
         for name in self.names():
@@ -154,6 +225,7 @@ class TenantManager:
     def _attach(self, name: str, spec: QuotaSpec) -> "Tenant":
         tenant = Tenant(self, name, spec)
         self._tenants[name] = tenant
+        self.hacfs.fs.usage_hook = self.charge
         self.hacfs.maintenance.register_tenant(name, spec.weight)
         # a tenant namespace is always index-fresh on its own writes: the
         # watch makes every mutation enqueue (and thus count against the
@@ -186,10 +258,11 @@ class Tenant:
     """The tenant-scoped facade — the public API surface of a namespace.
 
     Every method mirrors the :class:`HacFileSystem` call of the same name,
-    with tenant-relative paths in and out.  Mutations charge the quota
-    ledger first (a :class:`~repro.errors.QuotaExceeded` leaves no trace),
-    run under a ``tenant.<op>`` span, and stamp the tenant id onto any
-    journal intent they open.
+    with tenant-relative paths in and out, and runs under :meth:`_op`.
+    The methods that only rebase paths are generated from
+    :data:`_FORWARDED`.  Quotas are not charged here but where the file
+    system changes usage (:meth:`TenantManager.charge`), which refuses a
+    change with :class:`~repro.errors.QuotaExceeded` before it lands.
     """
 
     def __init__(self, manager: TenantManager, name: str, spec: QuotaSpec):
@@ -219,6 +292,10 @@ class Tenant:
                 comps.append(comp)
         return self.root if not comps else self.root + "/" + "/".join(comps)
 
+    def _host_target(self, text: str) -> str:
+        """A link target: a tenant path, or an ``ns://doc`` URI as is."""
+        return text if "://" in text else self._host(text)
+
     def _rel(self, host_path: str) -> Optional[str]:
         """Host → tenant-relative path; None for paths outside the root."""
         if host_path == self.root:
@@ -242,22 +319,7 @@ class Tenant:
         finally:
             hacfs.journal.tenant = prev
 
-    # -- quota plumbing -----------------------------------------------------
-
-    def _indexed_docs(self) -> int:
-        """Documents the shared index holds under this root, plus updates
-        still queued in this tenant's drain bucket."""
-        count = 0
-        scope_count = getattr(self._hacfs.engine, "scope_count", None)
-        if callable(scope_count):
-            count = scope_count(self.root)
-        pending = self._hacfs.maintenance.pending_by_tenant()
-        return count + pending.get(self.name, 0)
-
-    def _charge_new_file(self, nbytes: int) -> None:
-        self.ledger.check("inodes", 1)
-        self.ledger.check("bytes", nbytes)
-        self.ledger.check_docs(self._indexed_docs())
+    # -- quota --------------------------------------------------------------
 
     def usage(self) -> Dict[str, int]:
         return self.ledger.usage()
@@ -272,23 +334,7 @@ class Tenant:
         self.ledger.bytes = counted["bytes"]
         return counted
 
-    # -- hierarchical operations --------------------------------------------
-
-    def mkdir(self, path: str, mode: int = 0o755):
-        with self._op("mkdir", path=path):
-            self.ledger.check("inodes", 1)
-            stat = self._hacfs.mkdir(self._host(path), mode=mode)
-            self.ledger.commit("inodes", 1)
-            return stat
-
-    def makedirs(self, path: str, mode: int = 0o755) -> None:
-        host = self._host(path)
-        missing = sum(1 for p in list(pathutil.ancestors(host)) + [host]
-                      if p.startswith(self.root) and not self._hacfs.exists(p))
-        with self._op("makedirs", path=path):
-            self.ledger.check("inodes", missing)
-            self._hacfs.makedirs(host, mode=mode)
-            self.ledger.commit("inodes", missing)
+    # -- operations with more to do than rebase paths -----------------------
 
     def rmdir(self, path: str) -> None:
         host = self._host(path)
@@ -296,121 +342,16 @@ class Tenant:
             raise InvalidArgument(path, "cannot remove the tenant root")
         with self._op("rmdir", path=path):
             self._hacfs.rmdir(host)
-            self.ledger.commit("inodes", -1)
-
-    def create(self, path: str, mode: int = 0o644):
-        with self._op("create", path=path):
-            self._charge_new_file(0)
-            stat = self._hacfs.create(self._host(path), mode=mode)
-            self.ledger.commit("inodes", 1)
-            return stat
-
-    def write_file(self, path: str, data: bytes, append: bool = False) -> int:
-        host = self._host(path)
-        with self._op("write_file", path=path):
-            is_new = not self._hacfs.exists(host, follow=False)
-            old = 0 if is_new else (self._hacfs.fs.stat(host).size
-                                    if self._hacfs.fs.isfile(host) else 0)
-            new = old + len(data) if append else len(data)
-            if is_new:
-                self._charge_new_file(new)
-            else:
-                self.ledger.check("bytes", new - old)
-            n = self._hacfs.write_file(host, data, append=append)
-            if is_new:
-                self.ledger.commit("inodes", 1)
-            self.ledger.commit("bytes", new - old)
-            return n
-
-    def read_file(self, path: str) -> bytes:
-        with self._op("read_file", path=path):
-            return self._hacfs.read_file(self._host(path))
-
-    def truncate(self, path: str, size: int = 0) -> None:
-        host = self._host(path)
-        with self._op("truncate", path=path):
-            old = self._hacfs.fs.stat(host).size
-            self.ledger.check("bytes", size - old)
-            self._hacfs.truncate(host, size)
-            self.ledger.commit("bytes", size - old)
-
-    def unlink(self, path: str) -> None:
-        host = self._host(path)
-        with self._op("unlink", path=path):
-            is_file = (not self._hacfs.islink(host)
-                       and self._hacfs.fs.isfile(host))
-            released = self._hacfs.fs.stat(host).size if is_file else 0
-            self._hacfs.unlink(host)
-            if is_file:
-                self.ledger.commit("inodes", -1)
-                self.ledger.commit("bytes", -released)
 
     def symlink(self, target: str, linkpath: str):
-        # links are uncharged: re-evaluation materialises and drops them
-        # outside the facade, so charging user links would drift the ledger
-        host_target = target if "://" in target else self._host(target)
+        link = self._host(linkpath)
+        if "://" not in target:
+            # a relative target names a path beside the link, as on the
+            # host; joining it first lets _host clamp ``..`` at the root
+            base = self._rel(pathutil.dirname(link)) or "/"
+            target = pathutil.join(base, target)
         with self._op("symlink", link=linkpath):
-            return self._hacfs.symlink(host_target, self._host(linkpath))
-
-    def rename(self, old: str, new: str) -> None:
-        with self._op("rename", old=old, new=new):
-            self._hacfs.rename(self._host(old), self._host(new))
-
-    # -- read-side pass-throughs --------------------------------------------
-
-    def stat(self, path: str):
-        return self._hacfs.stat(self._host(path))
-
-    def lstat(self, path: str):
-        return self._hacfs.lstat(self._host(path))
-
-    def listdir(self, path: str = "/") -> List[str]:
-        return self._hacfs.listdir(self._host(path))
-
-    def readlink(self, path: str) -> str:
-        text = self._hacfs.readlink(self._host(path))
-        if "://" in text:
-            return text
-        return self._rel(pathutil.normalize(text)) or text
-
-    def exists(self, path: str, follow: bool = True) -> bool:
-        return self._hacfs.exists(self._host(path), follow=follow)
-
-    def isdir(self, path: str) -> bool:
-        return self._hacfs.isdir(self._host(path))
-
-    def isfile(self, path: str) -> bool:
-        return self._hacfs.isfile(self._host(path))
-
-    def islink(self, path: str) -> bool:
-        return self._hacfs.islink(self._host(path))
-
-    def chmod(self, path: str, mode: int) -> None:
-        with self._op("chmod", path=path):
-            self._hacfs.chmod(self._host(path), mode)
-
-    # -- descriptor I/O -----------------------------------------------------
-
-    def open(self, path: str, mode: str = "r") -> int:
-        return self._hacfs.open(self._host(path), mode)
-
-    def read(self, fd: int, size: int = -1) -> bytes:
-        return self._hacfs.read(fd, size)
-
-    def write(self, fd: int, data: bytes) -> int:
-        with self._op("write", fd=fd):
-            self.ledger.check("bytes", len(data))
-            n = self._hacfs.write(fd, data)
-            self.ledger.commit("bytes", n)
-            return n
-
-    def lseek(self, fd: int, offset: int, whence: int = 0) -> int:
-        return self._hacfs.lseek(fd, offset, whence)
-
-    def close(self, fd: int) -> None:
-        self._hacfs.close(fd)
-
-    # -- semantic operations ------------------------------------------------
+            return self._hacfs.symlink(self._host_target(target), link)
 
     def _resolve_dir(self, path: str) -> Optional[int]:
         """Query dir-references resolve in the *tenant's* namespace."""
@@ -418,10 +359,8 @@ class Tenant:
 
     def smkdir(self, path: str, query: str) -> str:
         with self._op("smkdir", path=path, query=query):
-            self.ledger.check("inodes", 1)
             canon = self._hacfs.smkdir(self._host(path), query,
                                        resolve_dir=self._resolve_dir)
-            self.ledger.commit("inodes", 1)
             return self._rel(canon) or canon
 
     def set_query(self, path: str, query: Optional[str]) -> None:
@@ -437,50 +376,10 @@ class Tenant:
             lambda uid: self._rel(self._hacfs.dirmap.path_of(uid) or "")
             or self._hacfs.dirmap.path_of(uid))
 
-    def is_semantic(self, path: str) -> bool:
-        return self._hacfs.is_semantic(self._host(path))
-
-    def links(self, path: str) -> Dict[str, tuple]:
-        return self._hacfs.links(self._host(path))
-
-    def prohibited(self, path: str) -> List[str]:
-        return self._hacfs.prohibited(self._host(path))
-
-    def classify(self, link_path: str) -> Optional[str]:
-        return self._hacfs.classify(self._host(link_path))
-
-    def make_permanent(self, link_path: str) -> None:
-        with self._op("make_permanent", link=link_path):
-            self._hacfs.make_permanent(self._host(link_path))
-
-    def unprohibit(self, dir_path: str, target_text: str) -> bool:
-        target = target_text if "://" in target_text \
-            else self._host(target_text)
-        with self._op("unprohibit", path=dir_path):
-            return self._hacfs.unprohibit(self._host(dir_path), target)
-
-    def sact(self, link_path: str) -> List[str]:
-        return self._hacfs.sact(self._host(link_path))
-
-    def ssync(self, path: str = "/"):
-        with self._op("ssync", path=path):
-            return self._hacfs.ssync(self._host(path))
-
-    def watch(self, path: str = "/") -> str:
-        with self._op("watch", path=path):
-            host_root = self._hacfs.watch(self._host(path))
-            return self._rel(host_root) or host_root
-
-    def unwatch(self, path: str = "/") -> bool:
-        with self._op("unwatch", path=path):
-            return self._hacfs.unwatch(self._host(path))
-
     def barrier(self) -> int:
         """Drain only this tenant's pending maintenance (fair-share: a
         neighbour's write storm stays in the neighbour's bucket)."""
         return self._hacfs.maintenance.barrier(tenant=self.name)
-
-    # -- search -------------------------------------------------------------
 
     def glimpse(self, query: str, scope_path: str = "/",
                 consistency: str = "strong") -> List[str]:
@@ -524,13 +423,12 @@ class Tenant:
                     out.append(rel)
         return sorted(out)
 
-    # -- status -------------------------------------------------------------
-
     def health(self, path: Optional[str] = None) -> Dict[str, object]:
         """The tenant's view of :meth:`HacFileSystem.health`: shared-plane
         sections pass through, the ``directories`` section is filtered to
-        (and rebased under) the tenant root, and a ``tenant`` section adds
-        this tenant's usage/quota/pending."""
+        (and rebased under) the tenant root, the host's ``tenants``
+        section — every neighbour's root, usage and quota — is dropped,
+        and a ``tenant`` section adds this tenant's usage/quota/pending."""
         host = self._hacfs.health(self._host(path) if path is not None
                                   else None)
         directories = {}
@@ -540,15 +438,70 @@ class Tenant:
                 directories[rel] = entry
         report = dict(host)
         report["directories"] = directories
-        report["tenant"] = {
-            "name": self.name,
-            "root": self.root,
-            "usage": self.ledger.usage(),
-            "quota": self.ledger.spec.to_obj(),
-            "pending": self._hacfs.maintenance.pending_by_tenant()
-                           .get(self.name, 0),
-        }
+        report["tenant"] = {"name": self.name,
+                            **report.pop("tenants")[self.name]}
         return report
 
-    def describe_scope(self, path: str = "/") -> Dict[str, object]:
-        return self._hacfs.describe_scope(self._host(path))
+
+#: The ops the facade forwards as they are but for paths, grouped by a
+#: stub that carries their signature.  A parameter named in _PATH_PARAMS
+#: is a tenant path, rebased under the root on the way in; the ops in
+#: _REBASED_RESULTS return a host path, mapped back out.
+_FORWARDED = {
+    "read_file unlink readlink stat lstat isdir isfile islink is_semantic "
+    "links prohibited": lambda self, path: ...,
+    "listdir ssync watch unwatch describe_scope": lambda self, path="/": ...,
+    "chmod": lambda self, path, mode: ...,
+    "mkdir makedirs": lambda self, path, mode=0o755: ...,
+    "create": lambda self, path, mode=0o644: ...,
+    "open": lambda self, path, mode="r": ...,
+    "truncate": lambda self, path, size=0: ...,
+    "exists": lambda self, path, follow=True: ...,
+    "write_file": lambda self, path, data, append=False: ...,
+    "rename": lambda self, old, new: ...,
+    "classify make_permanent sact": lambda self, link_path: ...,
+    "unprohibit": lambda self, dir_path, target_text: ...,
+    "close": lambda self, fd: ...,
+    "write": lambda self, fd, data: ...,
+    "read": lambda self, fd, size=-1: ...,
+    "lseek": lambda self, fd, offset, whence=0: ...,
+}
+_REBASED_RESULTS = {"readlink", "watch"}
+
+#: path parameter name -> how it enters the host namespace
+_PATH_PARAMS = {"path": Tenant._host, "old": Tenant._host,
+                "new": Tenant._host, "link_path": Tenant._host,
+                "dir_path": Tenant._host, "target_text": Tenant._host_target}
+
+
+def _forwarder(op: str, sig: inspect.Signature, rebase_result: bool):
+    """The facade method for *op*: a plain function with signature *sig*
+    that rebases its path arguments, runs the file-system call of the
+    same name under :meth:`Tenant._op`, and maps a path result back into
+    the tenant's namespace."""
+    paths = {name: _PATH_PARAMS[name] for name in sig.parameters
+             if name in _PATH_PARAMS}
+
+    def forward(self, *args, **kwargs):
+        values = sig.bind(self, *args, **kwargs)
+        values.apply_defaults()
+        args = values.arguments
+        tags = {name: args[name] for name in paths}
+        for name, host in paths.items():
+            args[name] = host(self, args[name])
+        with self._op(op, **tags):
+            result = getattr(self._hacfs, op)(*list(args.values())[1:])
+        return (self._rel(result) or result) if rebase_result else result
+
+    forward.__name__ = op
+    forward.__qualname__ = f"Tenant.{op}"
+    forward.__doc__ = f"Tenant-scoped :meth:`HacFileSystem.{op}`."
+    forward.__signature__ = sig
+    return forward
+
+
+for _ops, _stub in _FORWARDED.items():
+    for _op_name in _ops.split():
+        setattr(Tenant, _op_name, _forwarder(
+            _op_name, inspect.signature(_stub),
+            _op_name in _REBASED_RESULTS))

@@ -295,12 +295,12 @@ class UnknownTenant(HacError):
 
 
 class QuotaExceeded(HacError):
-    """A tenant operation would overrun one of its resource budgets.
+    """A change under a tenant root would overrun one of its budgets.
 
-    Raised *before* the operation touches any structure — no bytes land,
-    no inode is allocated, no index entry is reserved — so a rejected
-    request needs no rollback.  Carries the full accounting picture so
-    callers (and tests) can assert exactly which budget tripped.
+    Raised by the file system *before* the change lands (no bytes land,
+    no inode is allocated); a journaled op it interrupts rolls back like
+    any other failure.  Carries the full accounting picture so callers
+    (and tests) can assert exactly which budget tripped.
     """
 
     def __init__(self, tenant: str, resource: str, used: int, limit: int,

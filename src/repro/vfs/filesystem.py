@@ -54,6 +54,10 @@ MAX_SYMLINK_FOLLOWS = 40
 _fsid_counter = itertools.count(1)
 
 
+def _no_commit() -> None:
+    """The commit of a change no usage hook charges."""
+
+
 class StatResult:
     """Snapshot of an inode's identity and attributes."""
 
@@ -137,6 +141,11 @@ class FileSystem:
         self._pathmap: Optional[PathMap] = (
             PathMap(is_live=self._node_is_live, counters=self.counters)
             if path_map else None)
+        #: quota hook (the tenant manager installs one): called before a
+        #: change to directories or regular files as ``hook(canonical path,
+        #: d_inodes, d_bytes, is_dir, moved_from)``; it raises to refuse
+        #: and returns the commit to call once the change landed, or None
+        self.usage_hook: Optional[Callable[..., Optional[Callable]]] = None
 
     def _node_is_live(self, node) -> bool:
         return self._inodes.get(node.ino) is node
@@ -148,6 +157,31 @@ class FileSystem:
     def _notify(self, event: str, **details) -> None:
         for cb in self.observers:
             cb(event, **details)
+
+    def _charge(self, parent: Optional[DirNode], name: str, d_inodes: int,
+                d_bytes: int, is_dir: bool = False,
+                moved_from: Optional[str] = None) -> Callable[[], None]:
+        """Ask the usage hook to admit a change at ``parent/name``;
+        returns the commit to call once the mutation has landed."""
+        hook = self.usage_hook
+        if hook is None or not (d_inodes or d_bytes):
+            return _no_commit
+        path = self._pm_key(parent, name)
+        if path is None:  # detached (an open, unlinked file): uncharged
+            return _no_commit
+        return hook(path, d_inodes, d_bytes, is_dir=is_dir,
+                    moved_from=moved_from) or _no_commit
+
+    def _charge_entry(self, parent: DirNode, name: str, node: Inode,
+                      sign: int, moved_from: Optional[str] = None
+                      ) -> Callable[[], None]:
+        """:meth:`_charge` for *node* arriving at (``sign=1``) or leaving
+        (``-1``) ``parent/name``; symlinks are uncharged."""
+        if node.is_symlink:
+            return _no_commit
+        nbytes = len(node.data) if isinstance(node, FileNode) else 0
+        return self._charge(parent, name, sign, sign * nbytes,
+                            is_dir=node.is_dir, moved_from=moved_from)
 
     def _new_ino(self) -> int:
         return next(self._next_ino)
@@ -335,9 +369,11 @@ class FileSystem:
         fs, parent, name = self._resolve_parent(path)
         if parent.lookup(name) is not None:
             raise FileExists(path)
+        commit = fs._charge(parent, name, 1, 0, is_dir=True)
         node = DirNode(ino=fs._new_ino(), mode=mode, now=self.clock.now)
         fs._register(node)
         parent.attach(name, node)
+        commit()
         parent.attrs.mtime = self.clock.now
         fs.device.charge_meta_write()
         self._notify("mkdir", path=pathutil.normalize(path), fs=fs, node=node)
@@ -368,9 +404,11 @@ class FileSystem:
             raise DeviceBusy(path, "is a mount point")
         if not node.is_empty():  # type: ignore[union-attr]
             raise DirectoryNotEmpty(path)
+        commit = fs._charge_entry(parent, name, node, -1)
         fs._pm_invalidate(parent, name)
         parent.detach(name)
         del fs._inodes[node.ino]
+        commit()
         parent.attrs.mtime = self.clock.now
         fs.device.charge_meta_write()
         self._notify("rmdir", path=pathutil.normalize(path), fs=fs, node=node)
@@ -399,9 +437,11 @@ class FileSystem:
                 return StatResult(fs.fsid, existing.ino, existing.type,
                                   existing.attrs.copy())
             raise FileExists(path)
+        commit = fs._charge(parent, name, 1, 0)
         node = FileNode(ino=fs._new_ino(), mode=mode, now=self.clock.now)
         fs._register(node)
         parent.attach(name, node)
+        commit()
         parent.attrs.mtime = self.clock.now
         fs.device.charge_meta_write()
         self._notify("create", path=pathutil.normalize(path), fs=fs, node=node)
@@ -429,9 +469,11 @@ class FileSystem:
         assert isinstance(node, FileNode)
         old = len(node.data)
         new_len = old + len(data) if append else len(data)
-        # allocate before touching the bytes: ENOSPC must leave the old
-        # content intact, and must not leave behind a file this call created
+        # charge and allocate before touching the bytes: a refusal or ENOSPC
+        # must leave the old content intact, and must not leave behind a
+        # file this call created
         try:
+            commit = fs._charge(node.parent, node.name, 0, new_len - old)
             fs.device.allocate(old, new_len, path)
         except Exception:
             if created:
@@ -441,6 +483,7 @@ class FileSystem:
             node.data.extend(data)
         else:
             node.data[:] = data
+        commit()
         fs.device.charge_write(len(data))
         node.attrs.size = len(node.data)
         node.attrs.mtime = self.clock.now
@@ -470,8 +513,10 @@ class FileSystem:
             raise InvalidArgument(path, "not a regular file")
         assert isinstance(node, FileNode)
         old = len(node.data)
+        commit = res.fs._charge(node.parent, node.name, 0, size - old)
         res.fs.device.allocate(old, size, path)
         node.resize(size)
+        commit()
         node.attrs.mtime = self.clock.now
         self._notify("write", path=pathutil.normalize(path), fs=res.fs, node=node)
 
@@ -485,11 +530,13 @@ class FileSystem:
             raise FileNotFound(path)
         if node.is_dir:
             raise IsADirectory(path)
+        commit = fs._charge_entry(parent, name, node, -1)
         fs._pm_invalidate(parent, name)
         parent.detach(name)
         del fs._inodes[node.ino]
         if isinstance(node, FileNode):
             fs.device.allocate(len(node.data), 0, path)
+        commit()
         parent.attrs.mtime = self.clock.now
         fs.device.charge_meta_write()
         self._notify("unlink", path=pathutil.normalize(path), fs=fs, node=node)
@@ -566,16 +613,22 @@ class FileSystem:
             else:
                 if existing.is_dir:
                     raise IsADirectory(new)
-            nparent.detach(nname)
-            del nfs._inodes[existing.ino]
-            if isinstance(existing, FileNode):
-                nfs.device.allocate(len(existing.data), 0, new)
         # canonical keys while both parents are still attached; the moved
         # node's descendants keep their entries via a one-pass rebase
         old_key = ofs._pm_key(oparent, oname)
         new_key = ofs._pm_key(nparent, nname)
+        commit = nfs._charge_entry(nparent, nname, node, 1,
+                                   moved_from=old_key)
+        if existing is not None:
+            release = nfs._charge_entry(nparent, nname, existing, -1)
+            nparent.detach(nname)
+            del nfs._inodes[existing.ino]
+            if isinstance(existing, FileNode):
+                nfs.device.allocate(len(existing.data), 0, new)
+            release()
         oparent.detach(oname)
         nparent.attach(nname, node)
+        commit()
         pm = ofs._pathmap
         if pm is not None:
             if old_key is None or new_key is None:
@@ -686,8 +739,10 @@ class FileSystem:
             node, fs = res.node, res.fs
         assert isinstance(node, FileNode)
         if mode == "w":
+            commit = fs._charge(node.parent, node.name, 0, -len(node.data))
             fs.device.allocate(len(node.data), 0, path)
             node.resize(0)
+            commit()
             node.attrs.mtime = self.clock.now
         offset = len(node.data) if mode == "a" else 0
         readable = mode in ("r", "rw")
@@ -718,8 +773,10 @@ class FileSystem:
         old = len(node.data)
         end = of.offset + len(data)
         if end > old:
+            commit = of.fs._charge(node.parent, node.name, 0, end - old)
             of.fs.device.allocate(old, end)
             node.resize(end)
+            commit()
         node.data[of.offset:end] = data
         of.offset = end
         node.attrs.size = len(node.data)

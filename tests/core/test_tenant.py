@@ -1,11 +1,65 @@
 """The Tenant facade: namespaces, quotas, attribution, lifecycle."""
 
+import inspect
+
 import pytest
 
-from repro.errors import (FileNotFound, InvalidArgument, QuotaExceeded,
-                          UnknownTenant)
+from repro.errors import (CrossDevice, FileNotFound, InvalidArgument,
+                          NoSpace, QuotaExceeded, UnknownTenant)
 from repro.core.hacfs import HacFileSystem
 from repro.core.quota import QuotaSpec, recompute_usage
+from repro.core.tenant import Tenant
+from repro.vfs.blockdev import FaultPlan
+from repro.vfs.filesystem import FileSystem
+
+#: the facade's public surface, as callers (the shell, the workloads, the
+#: benchmark's span wrapper) use it: name -> signature without annotations
+PUBLIC_SIGNATURES = {
+    "barrier": "(self)",
+    "chmod": "(self, path, mode)",
+    "classify": "(self, link_path)",
+    "close": "(self, fd)",
+    "create": "(self, path, mode=420)",
+    "describe_scope": "(self, path='/')",
+    "exists": "(self, path, follow=True)",
+    "get_query": "(self, path)",
+    "glimpse": "(self, query, scope_path='/', consistency='strong')",
+    "health": "(self, path=None)",
+    "is_semantic": "(self, path)",
+    "isdir": "(self, path)",
+    "isfile": "(self, path)",
+    "islink": "(self, path)",
+    "links": "(self, path)",
+    "listdir": "(self, path='/')",
+    "lseek": "(self, fd, offset, whence=0)",
+    "lstat": "(self, path)",
+    "make_permanent": "(self, link_path)",
+    "makedirs": "(self, path, mode=493)",
+    "mkdir": "(self, path, mode=493)",
+    "open": "(self, path, mode='r')",
+    "prohibited": "(self, path)",
+    "quota": "(self)",
+    "read": "(self, fd, size=-1)",
+    "read_file": "(self, path)",
+    "readlink": "(self, path)",
+    "recount": "(self)",
+    "rename": "(self, old, new)",
+    "rmdir": "(self, path)",
+    "sact": "(self, link_path)",
+    "set_query": "(self, path, query)",
+    "smkdir": "(self, path, query)",
+    "ssync": "(self, path='/')",
+    "stat": "(self, path)",
+    "symlink": "(self, target, linkpath)",
+    "truncate": "(self, path, size=0)",
+    "unlink": "(self, path)",
+    "unprohibit": "(self, dir_path, target_text)",
+    "unwatch": "(self, path='/')",
+    "usage": "(self)",
+    "watch": "(self, path='/')",
+    "write": "(self, fd, data)",
+    "write_file": "(self, path, data, append=False)",
+}
 
 
 @pytest.fixture
@@ -85,6 +139,36 @@ class TestFacadeOps:
         assert acme.readlink("/l") == "/t.txt"
         assert hac.readlink("/tenants/acme/l") == "/tenants/acme/t.txt"
 
+    def test_relative_symlink_targets_resolve_beside_the_link(self, hac,
+                                                              acme):
+        acme.makedirs("/x")
+        acme.write_file("/x/b.txt", b"beside the link")
+        acme.symlink("b.txt", "/x/l")
+        assert acme.readlink("/x/l") == "/x/b.txt"
+        assert acme.read_file("/x/l") == b"beside the link"
+        # ``..`` in a relative target still clamps at the tenant root
+        hac.makedirs("/shared")
+        hac.write_file("/shared/c.txt", b"host only")
+        acme.symlink("../../../shared/c.txt", "/x/up")
+        assert hac.readlink("/tenants/acme/x/up") == \
+            "/tenants/acme/shared/c.txt"
+        with pytest.raises(FileNotFound):
+            acme.read_file("/x/up")
+
+    def test_public_methods_keep_their_names_and_signatures(self):
+        empty = inspect.Parameter.empty
+        found = {}
+        for name, fn in inspect.getmembers(Tenant):
+            if name.startswith("_"):
+                continue
+            assert inspect.isfunction(fn), name
+            sig = inspect.signature(fn)
+            found[name] = str(sig.replace(
+                parameters=[p.replace(annotation=empty)
+                            for p in sig.parameters.values()],
+                return_annotation=empty))
+        assert found == PUBLIC_SIGNATURES
+
     def test_fd_surface_is_scoped(self, acme):
         fd = acme.create_open("/fd.txt") if hasattr(acme, "create_open") \
             else None
@@ -144,6 +228,81 @@ class TestQuotas:
         acme.symlink("/f.txt", "/l")
         assert recompute_usage(hac.fs, acme.root) == acme.ledger.usage()
 
+    def test_rename_over_a_file_releases_the_replaced_one(self, acme):
+        acme.write_file("/a.txt", b"12345")
+        acme.write_file("/b.txt", b"1234567890")
+        acme.rename("/a.txt", "/b.txt")
+        assert acme.usage() == acme.recount() == {"inodes": 1, "bytes": 5}
+
+    def test_open_for_writing_releases_the_truncated_bytes(self, acme):
+        acme.write_file("/f.txt", b"1234567890")
+        acme.close(acme.open("/f.txt", "w"))
+        assert acme.usage() == acme.recount() == {"inodes": 1, "bytes": 0}
+
+    def test_fd_overwrite_charges_only_the_growth(self, acme):
+        acme.write_file("/f.txt", b"1234567890")
+        fd = acme.open("/f.txt", "rw")
+        acme.write(fd, b"ab")
+        assert acme.usage() == acme.recount() == {"inodes": 1, "bytes": 10}
+        acme.write(fd, b"cdefghijkl")
+        acme.close(fd)
+        assert acme.usage() == acme.recount() == {"inodes": 1, "bytes": 12}
+
+    def test_open_creating_a_file_charges_its_inode(self, acme):
+        fd = acme.open("/new.txt", "w")
+        acme.write(fd, b"data")
+        acme.close(fd)
+        assert acme.usage() == acme.recount() == {"inodes": 1, "bytes": 4}
+
+    def test_host_writes_under_a_tenant_root_are_charged(self, hac, acme):
+        hac.write_file("/tenants/acme/h.txt", b"from the host")
+        assert acme.usage() == {"inodes": 1, "bytes": 13}
+        with pytest.raises(QuotaExceeded):
+            hac.write_file("/tenants/acme/big.txt", b"x" * 2000)
+        assert not hac.exists("/tenants/acme/big.txt")
+        assert acme.usage() == acme.recount()
+
+    def test_renames_across_a_tenant_boundary(self, hac, acme, buyco):
+        acme.makedirs("/d")
+        acme.write_file("/d/f.txt", b"12345")
+        with pytest.raises(CrossDevice):
+            hac.rename("/tenants/acme/d", "/tenants/buyco/d")
+        assert acme.isfile("/d/f.txt") and not buyco.exists("/d")
+        # a file moves its charge with it
+        hac.rename("/tenants/acme/d/f.txt", "/tenants/buyco/f.txt")
+        assert acme.usage() == acme.recount() == {"inodes": 1, "bytes": 0}
+        assert buyco.usage() == buyco.recount() == {"inodes": 1, "bytes": 5}
+
+    def test_a_mounted_file_system_is_not_charged(self, hac, acme):
+        acme.mkdir("/m")
+        hac.mount("/tenants/acme/m", FileSystem(name="other"))
+        acme.write_file("/m/f.txt", b"on another device")
+        acme.write_file("/g.txt", b"12")
+        assert acme.usage() == acme.recount() == {"inodes": 2, "bytes": 2}
+
+    def test_makedirs_past_the_inode_budget_keeps_the_ledger_exact(self,
+                                                                   hac):
+        t = hac.tenants.create("tiny", quota=QuotaSpec(max_inodes=2))
+        with pytest.raises(QuotaExceeded):
+            t.makedirs("/a/b/c")
+        assert t.usage() == t.recount()
+
+    def test_rollback_undo_is_never_refused(self, hac):
+        t = hac.tenants.create("full", quota=QuotaSpec(max_inodes=4))
+        t.mkdir("/d")
+        t.mkdir("/e")
+        hac.tenants.set_quota("full", QuotaSpec(max_inodes=1))
+        device = hac.fs.device
+        # the rmdir's wal record lands, its first structure write fails:
+        # the in-process rollback recreates /d over the lowered budget
+        device.set_fault_plan(FaultPlan(
+            enospc_at={device.record_write_index + 1}))
+        with pytest.raises(NoSpace):
+            t.rmdir("/d")
+        device.clear_faults()
+        assert t.isdir("/d")
+        assert t.usage() == t.recount() == {"inodes": 2, "bytes": 0}
+
     def test_set_quota_keeps_usage(self, hac, acme):
         acme.write_file("/f.txt", b"1234")
         hac.tenants.set_quota("acme", QuotaSpec(max_bytes=4))
@@ -189,6 +348,13 @@ class TestAttribution:
         assert row["root"] == "/tenants/acme"
         assert row["usage"] == {"inodes": 1, "bytes": 5}
         assert row["quota"]["max_bytes"] == 1000
+
+    def test_tenant_health_names_no_other_tenant(self, hac, acme, buyco):
+        buyco.write_file("/b.txt", b"neighbour data")
+        report = acme.health()
+        assert "tenants" not in report
+        assert "buyco" not in repr(report)
+        assert report["tenant"]["usage"] == acme.usage()
 
     def test_tenant_health_filters_directories(self, hac, acme, buyco):
         report = acme.health()
@@ -266,11 +432,13 @@ class TestFsck:
         acme.write_file("/f.txt", b"fingerprint")
         assert [f for f in hac.fsck() if f.kind.startswith("tenant-")] == []
 
-    def test_out_of_band_writes_surface_as_drift(self, hac, acme):
-        hac.write_file("/tenants/acme/sneaky.txt", b"behind the facade")
+    def test_ledger_drift_surfaces_and_repair_adopts_the_recount(self, hac,
+                                                                 acme):
+        acme.write_file("/f.txt", b"fingerprint")
+        acme.ledger.commit(3, 100)  # a ledger the tree no longer backs
         drift = [f for f in hac.fsck() if f.kind == "tenant-usage-drift"]
         assert len(drift) == 1 and drift[0].severity == "warn"
         hac.fsck(repair=True)
         assert [f for f in hac.fsck()
                 if f.kind == "tenant-usage-drift"] == []
-        assert acme.ledger.usage()["inodes"] == 1
+        assert acme.ledger.usage() == {"inodes": 1, "bytes": 11}

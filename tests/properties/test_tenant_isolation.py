@@ -6,7 +6,8 @@ its semantic-directory links, its strong query answers, and the final
 ``tenant_digest`` — must be identical to a *solo twin*: a world that
 hosts only that tenant and replays only that tenant's stream.  The
 shared world additionally takes host-namespace noise (files outside
-``/tenants``) that must be equally invisible.
+``/tenants``) that must be equally invisible.  After every step each
+tenant's quota ledger must equal a recount of its tree.
 
 This is the fault-free half of the isolation story; the chaos half
 (faults aimed at one tenant) lives in :mod:`repro.chaos.tenantsoak`.
@@ -67,30 +68,46 @@ class TenantOpFuzzer:
                      self.rng.choice(TERMS))
         return " ".join(words).encode("utf-8")
 
+    def _new_file(self):
+        d = self.rng.choice(self.dirs)
+        path = (d.rstrip("/") or "") + f"/f{self.counter}.txt"
+        self.files.append(path)
+        return path
+
     def next_op(self):
         self.counter += 1
         r = self.rng.random()
-        if r < 0.30 or not self.files:
-            d = self.rng.choice(self.dirs)
-            path = (d.rstrip("/") or "") + f"/f{self.counter}.txt"
-            self.files.append(path)
-            return ("write", path, self._text())
-        if r < 0.42:
+        if r < 0.26 or not self.files:
+            return ("write", self._new_file(), self._text())
+        if r < 0.36:
             return ("write", self.rng.choice(self.files), self._text())
-        if r < 0.50:
+        if r < 0.42:
             d = self.rng.choice(self.dirs)
             path = (d.rstrip("/") or "") + f"/d{self.counter}"
             self.dirs.append(path)
             return ("mkdir", path)
-        if r < 0.58:
+        if r < 0.48:
             old = self.rng.choice(self.files)
             new = old[:-4] + f"_r{self.counter}.txt"
             self.files[self.files.index(old)] = new
             return ("rename", old, new)
-        if r < 0.66:
+        if r < 0.53 and len(self.files) > 1:
+            old, new = self.rng.sample(self.files, 2)
+            self.files.remove(old)
+            return ("rename", old, new)  # replaces an existing file
+        if r < 0.58:
             victim = self.files.pop(self.rng.randrange(len(self.files)))
             return ("unlink", victim)
-        if r < 0.72:
+        if r < 0.62:
+            return ("truncate", self.rng.choice(self.files),
+                    self.rng.randrange(0, 24))
+        if r < 0.68:
+            mode = self.rng.choice(("w", "a", "rw"))
+            path = (self._new_file() if mode != "rw" and self.rng.random() < 0.5
+                    else self.rng.choice(self.files))
+            return ("fdwrite", path, mode, self.rng.randrange(0, 16),
+                    self._text())
+        if r < 0.73:
             path = f"/q{self.counter}"
             return ("smkdir", path, self.rng.choice(TERMS))
         if r < 0.80:
@@ -108,6 +125,13 @@ def apply_op(tenant, op):
         tenant.rename(op[1], op[2])
     elif kind == "unlink":
         tenant.unlink(op[1])
+    elif kind == "truncate":
+        tenant.truncate(op[1], op[2])
+    elif kind == "fdwrite":
+        fd = tenant.open(op[1], op[2])
+        tenant.lseek(fd, op[3])
+        tenant.write(fd, op[4])
+        tenant.close(fd)
     elif kind == "smkdir":
         if not tenant.exists(op[1]):
             tenant.smkdir(op[1], op[2])
@@ -139,6 +163,9 @@ def test_fuzzed_interleavings_match_solo_twins():
             if rng.random() < 0.2:  # host-namespace noise, tenant-invisible
                 shared.write_file(f"/noise/h{round_no}_{step}.txt",
                                   b"host fingerprint noise")
+            for t in list(tenants.values()) + list(solos.values()):
+                assert t.usage() == t.recount(), \
+                    (round_no, step, name, op[0], t.name)
         for name in ("alpha", "beta"):
             assert tenant_digest(tenants[name]) == \
                 tenant_digest(solos[name]), (round_no, name)
