@@ -502,7 +502,7 @@ class HacFileSystem:
         payload = {"old": old_canon if moving_dir else pathutil.normalize(old),
                    "new": self._planned_path(new), "dir": moving_dir}
         with self._journaled("rename", payload):
-            self.fs.rename(old, new)
+            replaced = self.fs.rename(old, new)
             if moving_dir:
                 new_canon = self._canonical_dir(new)
                 self.dirmap.rename_subtree(old_canon, new_canon)
@@ -529,6 +529,10 @@ class HacFileSystem:
                     live = self.path_for_target(Target.local(*key))
                     if live is not None and not self.watches.on_file_moved(key, live):
                         self.maintenance.note_rename(key, live)
+                # the file a rename replaces leaves like an unlinked one
+                if isinstance(replaced, FileNode):
+                    self.watches.on_file_removed(
+                        (res.fs.fsid, replaced.ino), new_parent)
             origins.extend(self._chain_uids(new_parent))
             self.consistency.on_scope_changed(origins)
 

@@ -573,9 +573,10 @@ class FileSystem:
     # rename
     # ------------------------------------------------------------------
 
-    def rename(self, old: str, new: str) -> None:
+    def rename(self, old: str, new: str) -> Optional[Inode]:
         """POSIX-style rename; replaces same-kind targets, refuses to move a
-        directory into its own subtree or across mount boundaries."""
+        directory into its own subtree or across mount boundaries.
+        Returns the entry it replaced, if any."""
         self._ops.add("rename")
         if self.tracer.enabled:
             self.tracer.event("vfs.rename", old=old, new=new)
@@ -646,6 +647,7 @@ class FileSystem:
         ofs.device.charge_meta_write()
         nfs.device.charge_meta_write()
         self._notify("rename", old=old_norm, new=new_norm, fs=nfs, node=node)
+        return existing
 
     @staticmethod
     def _subtree_has_mounts(fs: "FileSystem", node: Inode) -> bool:

@@ -82,6 +82,14 @@ class TestEagerVisibility:
         populated.rename("/mail/msg1.txt", "/mail/other.txt")
         assert populated.listdir("/named") == []
 
+    def test_rename_over_a_file_drops_the_replaced_one(self, populated):
+        populated.smkdir("/fp", "fingerprint")
+        populated.watch("/mail")
+        assert "msg1.txt" in populated.listdir("/fp")
+        populated.write_file("/mail/plain.txt", b"about gardening")
+        populated.rename("/mail/plain.txt", "/mail/msg1.txt")
+        assert "msg1.txt" not in populated.listdir("/fp")
+
     def test_truncate_triggers(self, populated):
         populated.smkdir("/fp", "fingerprint")
         populated.watch("/mail")
