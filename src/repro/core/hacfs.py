@@ -6,8 +6,8 @@ This class is that library: every user-visible operation goes through it,
 and each one carries the extra HAC work the paper describes:
 
 * ``mkdir`` also registers the directory in the global map, creates and
-  persists its (empty) query/link-set record, and adds a node to the
-  dependency graph — the Makedir overhead of Table 1;
+  persists its (empty) query/link-set record and its map entry, and adds a
+  node to the dependency graph — the Makedir overhead of Table 1;
 * ``create`` also initialises the attribute-cache entry — the Copy
   overhead;
 * ``stat`` consults the attribute cache — the Scan speed-up;
@@ -37,7 +37,8 @@ from repro.errors import (
 from repro.obs import Observability
 from repro.util import pathutil
 from repro.util.clock import VirtualClock
-from repro.util.idmap import GlobalDirectoryMap
+from repro.util.idmap import GlobalDirectoryMap, compose_paths
+from repro.util.lru import LRUCache
 from repro.util.stats import Counters
 from repro.vfs.attrcache import AttributeCache
 from repro.vfs.fd import FDTable
@@ -64,6 +65,9 @@ from repro.core.tenant import TenantManager
 from repro.remote.namespace import NameSpace
 from repro.remote.semmount import SemanticMountTable
 
+#: aux record holding the UID high-water mark (see ``_drop_dir``)
+UID_MARK = "uidmark"
+
 
 class HacFileSystem:
     """A personal name space with both path-name and content-based access."""
@@ -87,8 +91,8 @@ class HacFileSystem:
                          clock=self.clock, transducer=default_transducer,
                          num_blocks=num_blocks, fast_path=fast_path)
         # the root's (empty) HAC state — uid 0 is pre-registered in the map
+        # and needs no map entry of its own
         self.meta.create(GlobalDirectoryMap.ROOT_UID)
-        self._persist_maps()
         self._install_engine(engine)
 
     def _assemble(self, fs: Optional[FileSystem],
@@ -133,8 +137,11 @@ class HacFileSystem:
         self.watches = WatchManager(self)
         self.attrcache = AttributeCache(capacity=attr_cache_capacity,
                                         counters=self.counters)
-        #: path → (fsid, ino, type) companion to the attribute cache
-        self._stat_identity: Dict[str, Tuple[str, int, object]] = {}
+        #: path → (fsid, ino, type) companion to the attribute cache, as
+        #: bounded as it: every put, hit, invalidation and clear of one is
+        #: done to the other, so both hold the same paths
+        self._stat_identity: LRUCache[str, Tuple[str, int, object]] = \
+            LRUCache(attr_cache_capacity)
         self.fdtable = FDTable()
         #: descriptor table the engine loader reads documents through
         self._loader_fds = FDTable()
@@ -247,10 +254,22 @@ class HacFileSystem:
                 uids.append(uid)
         return uids
 
-    def _persist_maps(self) -> None:
-        self.meta.flush_aux("globalmap",
-                            {str(u): p for u, p in self.dirmap.items()})
-        self.meta.flush_aux("depgraph", self.depgraph.to_obj())
+    def _write_dir(self, uid: int, canon: str) -> None:
+        """Persist *uid*'s map entry for its (new) canonical path."""
+        self.meta.write_dir(uid, self.dirmap.uid_of(pathutil.dirname(canon)),
+                            pathutil.basename(canon))
+
+    def _drop_dir(self, uid: int) -> None:
+        """Delete a removed directory's records and forget it everywhere.
+        Removing the highest UID handed out persists the high-water mark,
+        so a reopen never hands that UID to a new directory — a query's
+        dangling reference to it must stay dangling."""
+        self.meta.drop(uid)
+        if uid + 1 == self.dirmap.next_uid:
+            self.meta.flush_aux(UID_MARK, self.dirmap.next_uid)
+        self.dirmap.unregister(self.dirmap.path_of(uid))
+        self.depgraph.remove_node(uid)
+        self.semmounts.drop_uid(uid)
 
     def _planned_path(self, path: str) -> str:
         """Canonical path a not-yet-created entry will get (for intents)."""
@@ -303,14 +322,22 @@ class HacFileSystem:
 
     def reload_persisted(self) -> None:
         """Reload every persisted structure from the device records
-        (after an in-process rollback rewrote them)."""
-        raw_map = self.meta.load_aux("globalmap") or {"0": "/"}
-        self.dirmap.load_snapshot({int(u): p for u, p in raw_map.items()})
-        raw_graph = self.meta.load_aux("depgraph")
-        self.depgraph = (DependencyGraph.from_obj(raw_graph)
-                         if raw_graph else DependencyGraph())
-        self.depgraph.tracer = self.obs.trace
+        (after an in-process rollback rewrote them): the map from the
+        ``dir:`` entries, the states from the ``semdir:`` records, and the
+        dependency graph derived from both."""
+        entries = self.meta.load_dirs()
+        self.dirmap.load_snapshot(compose_paths(entries),
+                                  next_uid=self.meta.load_aux(UID_MARK) or 0)
         self.meta.reload_all()
+        parents = {uid: entries[uid][0] for uid in self.dirmap.uids()
+                   if uid != GlobalDirectoryMap.ROOT_UID}
+        references = {}
+        for uid in self.dirmap.uids():
+            state = self.meta.get(uid)
+            if state is not None and state.query is not None:
+                references[uid] = state.query.dir_refs()
+        self.depgraph = DependencyGraph.derive(parents, references)
+        self.depgraph.tracer = self.obs.trace
         self._clear_attrs()
 
     def _library_resolve(self, path: str) -> str:
@@ -326,7 +353,7 @@ class HacFileSystem:
 
     def _invalidate_attrs(self, norm: str) -> None:
         self.attrcache.invalidate(norm)
-        self._stat_identity.pop(norm, None)
+        self._stat_identity.invalidate(norm)
 
     def _clear_attrs(self) -> None:
         self.attrcache.clear()
@@ -346,13 +373,15 @@ class HacFileSystem:
         with self._journaled("mkdir", {"path": self._planned_path(path)}):
             stat = self.fs.mkdir(path, mode=mode)
             canon = self._canonical_dir(path)
+            # records before memory: the first record write opens the
+            # intent's rollback window (see rollback_in_process)
+            self._write_dir(self.dirmap.next_uid, canon)
             uid = self.dirmap.register(canon)
+            self.meta.create(uid)
             self.depgraph.add_node(uid)
             parent_uid = self.dirmap.uid_of(pathutil.dirname(canon))
             if parent_uid is not None:
                 self.depgraph.set_hierarchy_edge(uid, parent_uid)
-            self.meta.create(uid)
-            self._persist_maps()
         return stat
 
     def makedirs(self, path: str, mode: int = 0o755) -> None:
@@ -370,12 +399,8 @@ class HacFileSystem:
             self.fs.rmdir(canon)
             uid = self.dirmap.uid_of(canon)
             if uid is not None:
-                self.dirmap.unregister(canon)
-                self.depgraph.remove_node(uid)
-                self.meta.drop(uid)
-                self.semmounts.drop_uid(uid)
+                self._drop_dir(uid)
             self._invalidate_attrs(canon)
-            self._persist_maps()
 
     def create(self, path: str, mode: int = 0o644) -> StatResult:
         """Create a file; HAC also primes the attribute cache (§4)."""
@@ -386,7 +411,7 @@ class HacFileSystem:
         norm = self._library_resolve(path)
         stat = self.fs.create(path, mode=mode)
         self.attrcache.put(norm, stat.attrs)
-        self._stat_identity[norm] = (stat.fsid, stat.ino, stat.type)
+        self._stat_identity.put(norm, (stat.fsid, stat.ino, stat.type))
         self.watches.on_content_changed(norm)
         return stat
 
@@ -399,7 +424,7 @@ class HacFileSystem:
         # the write path, so the fresh attributes are known here (§4)
         stat = self.fs.lstat(path)
         self.attrcache.put(norm, stat.attrs)
-        self._stat_identity[norm] = (stat.fsid, stat.ino, stat.type)
+        self._stat_identity.put(norm, (stat.fsid, stat.ino, stat.type))
         self.watches.on_content_changed(norm)
         return n
 
@@ -505,6 +530,10 @@ class HacFileSystem:
             replaced = self.fs.rename(old, new)
             if moving_dir:
                 new_canon = self._canonical_dir(new)
+                moved_uid = self.dirmap.uid_of(old_canon)
+                # one entry moves; the subtree's paths follow from it
+                if moved_uid is not None:
+                    self._write_dir(moved_uid, new_canon)
                 self.dirmap.rename_subtree(old_canon, new_canon)
                 # one-pass path rebase alongside the path map: registry
                 # paths and CAS prefix keys follow the moved subtree
@@ -513,12 +542,10 @@ class HacFileSystem:
                 rebase = getattr(self.engine, "rebase_paths", None)
                 if callable(rebase):
                     rebase(old_canon, new_canon)
-                moved_uid = self.dirmap.uid_of(new_canon)
                 new_parent_uid = self.dirmap.uid_of(pathutil.dirname(new_canon))
                 if moved_uid is not None and new_parent_uid is not None:
                     self.depgraph.set_hierarchy_edge(moved_uid, new_parent_uid)
                 self._clear_attrs()
-                self._persist_maps()
                 if moved_uid is not None:
                     origins.append(moved_uid)
             else:
@@ -553,7 +580,7 @@ class HacFileSystem:
             self.obs.trace.event("hac.stat", path=norm, cache="miss")
         stat = self.fs.stat(path)
         self.attrcache.put(norm, stat.attrs)
-        self._stat_identity[norm] = (stat.fsid, stat.ino, stat.type)
+        self._stat_identity.put(norm, (stat.fsid, stat.ino, stat.type))
         return stat
 
     def lstat(self, path: str) -> StatResult:
@@ -642,6 +669,8 @@ class HacFileSystem:
                              if resolve_dir is not None
                              else self.dirmap.uid_of)
         with self._journaled("set_query", {"path": canon, "query": query}):
+            # the state below changes before its flush: journal it first
+            self.journal.capture(f"semdir:{uid}")
             if query is None:
                 # detach: drop transient links, keep permanent/prohibited
                 for name in list(state.links.transient):
@@ -654,7 +683,6 @@ class HacFileSystem:
                 state.result_cache = state.result_cache.__class__()
                 self.depgraph.set_reference_edges(uid, [])
                 self.meta.flush(uid)
-                self._persist_maps()
                 self.consistency.on_scope_changed([uid])
                 return
             # validate/settle reference edges first: a cycle must leave the
@@ -663,7 +691,6 @@ class HacFileSystem:
             state.query = ast
             state.query_text = query
             self.meta.flush(uid)
-            self._persist_maps()
             self.consistency.on_scope_changed([uid], include_origins=True)
 
     def get_query(self, path: str) -> Optional[str]:
@@ -802,6 +829,7 @@ class HacFileSystem:
         with self._journaled("make_permanent",
                              {"path": self.dirmap.path_of(uid),
                               "link": name}):
+            self.journal.capture(f"semdir:{uid}")
             target = state.links.transient.pop(name)
             state.links.add_permanent(name, target)
             self.meta.flush(uid)
@@ -851,12 +879,12 @@ class HacFileSystem:
         for dirpath, _dirs, _files in walk(self.fs, canon):
             if self.dirmap.uid_of(dirpath) is None:
                 uid = self.dirmap.register(dirpath)
+                self._write_dir(uid, dirpath)
                 self.depgraph.add_node(uid)
                 parent_uid = self.dirmap.uid_of(pathutil.dirname(dirpath))
                 if parent_uid is not None:
                     self.depgraph.set_hierarchy_edge(uid, parent_uid)
                 self.meta.create(uid)
-        self._persist_maps()
         self.consistency.on_scope_changed(self._chain_uids(canon))
 
     def unmount(self, path: str) -> FileSystem:
@@ -864,13 +892,8 @@ class HacFileSystem:
         canon = self._canonical_dir(path)
         detached = self.fs.unmount(canon)
         self._fs_registry.pop(detached.fsid, None)
-        for uid in self.dirmap.subtree_uids(canon, strict=True):
-            sub_path = self.dirmap.path_of(uid)
-            self.dirmap.unregister(sub_path)
-            self.depgraph.remove_node(uid)
-            self.meta.drop(uid)
-            self.semmounts.drop_uid(uid)
-        self._persist_maps()
+        for uid in sorted(self.dirmap.subtree_uids(canon, strict=True)):
+            self._drop_dir(uid)
         self.consistency.on_scope_changed(self._chain_uids(canon))
         return detached
 

@@ -110,10 +110,11 @@ def _undo_one(hacfs: "HacFileSystem", intent: PendingIntent,
               report: RecoveryReport) -> None:
     op, payload = intent.op, intent.payload
     if op in ("mkdir", "smkdir"):
-        path = str(payload.get("path", ""))
-        if path and hacfs.dirmap.uid_of(path) is None and hacfs.fs.isdir(path):
-            if _scrub_dir(hacfs, path, report):
-                report.tree_fixes += 1
+        _scrub_unregistered(hacfs, [str(payload.get("path", ""))], report)
+    elif op == "tenant_create":
+        # the tenant root, then /tenants if the intent created that too
+        root = str(payload.get("root", ""))
+        _scrub_unregistered(hacfs, [root, pathutil.dirname(root)], report)
     elif op == "rmdir":
         path = str(payload.get("path", ""))
         if path and hacfs.dirmap.uid_of(path) is not None \
@@ -169,6 +170,16 @@ def _touched_uids(hacfs: "HacFileSystem", intent: PendingIntent) -> List[int]:
             if uid is not None:
                 uids.add(uid)
     return sorted(uids)
+
+
+def _scrub_unregistered(hacfs: "HacFileSystem", paths: List[str],
+                        report: RecoveryReport) -> None:
+    """Scrub each of *paths*, deepest first, that is a live directory the
+    rolled-back map does not know: a crashed op created it."""
+    for path in paths:
+        if path and hacfs.dirmap.uid_of(path) is None \
+                and hacfs.fs.isdir(path) and _scrub_dir(hacfs, path, report):
+            report.tree_fixes += 1
 
 
 def _scrub_dir(hacfs: "HacFileSystem", path: str,
@@ -242,12 +253,20 @@ def rollback_in_process(hacfs: "HacFileSystem", intent) -> RecoveryReport:
     Restores the records from the wal, reloads every persisted structure
     into memory, and reconciles the tree — after this the operation is
     fully absent and the instance remains usable.
+
+    An intent that captured no pre-image changed no record, and every
+    journaled op touches the map, graph and states only after its first
+    record capture, so then memory is still what the records say and the
+    O(directories) reload is skipped: a refused op costs O(1).
     """
     report = RecoveryReport()
     journal = hacfs.journal
     report.records_restored += journal.rollback_active(intent)
     report.rolled_back.append((intent.seq, intent.op))
-    hacfs.reload_persisted()
+    if intent.capture_order:
+        hacfs.reload_persisted()
+    else:
+        hacfs._clear_attrs()  # the tree undo below may move entries
     with hacfs.tenants.undoing():
         undo_tree(hacfs,
                   [PendingIntent(intent.seq, intent.op, intent.payload,

@@ -86,8 +86,9 @@ class TenantManager:
     def create(self, name: str, quota: Optional[QuotaSpec] = None) -> "Tenant":
         """Register a tenant and create its scope root.
 
-        Journaled as one ``tenant_create`` intent: the root directories and
-        the persisted tenant table land together or not at all.
+        Journaled as one ``tenant_create`` intent: the root directories,
+        the persisted tenant table and the root's watch land together or
+        not at all.  The tenant is attached in memory only once they have.
         """
         if not _valid_name(name):
             raise InvalidArgument(name, "invalid tenant name")
@@ -98,9 +99,9 @@ class TenantManager:
         with self.hacfs._journaled("tenant_create",
                                    {"tenant": name, "root": root}):
             self.hacfs.makedirs(root)
-            tenant = self._attach(name, spec)
-            self._persist()
-        return tenant
+            self._persist(name, spec)
+            self.hacfs.watch(root)
+        return self._attach(name, spec)
 
     def get(self, name: str) -> "Tenant":
         tenant = self._tenants.get(name)
@@ -120,11 +121,11 @@ class TenantManager:
     def set_quota(self, name: str, quota: QuotaSpec) -> None:
         """Replace a tenant's budgets (usage carries over)."""
         tenant = self.get(name)
-        tenant.ledger.spec = quota
-        self.hacfs.maintenance.register_tenant(name, quota.weight)
         with self.hacfs._journaled("tenant_quota",
                                    {"tenant": name, "quota": quota.to_obj()}):
-            self._persist()
+            self._persist(name, quota)
+        tenant.ledger.spec = quota
+        self.hacfs.maintenance.register_tenant(name, quota.weight)
 
     # -- attribution hooks --------------------------------------------------
 
@@ -223,22 +224,23 @@ class TenantManager:
     # -- persistence --------------------------------------------------------
 
     def _attach(self, name: str, spec: QuotaSpec) -> "Tenant":
+        """Register a tenant in memory.  The caller watches its root: a
+        tenant namespace is always index-fresh on its own writes, so every
+        mutation enqueues (and thus counts against the doc budget and
+        lands in the tenant's fair-share bucket) instead of waiting for a
+        whole-tree ssync."""
         tenant = Tenant(self, name, spec)
         self._tenants[name] = tenant
         self.hacfs.fs.usage_hook = self.charge
         self.hacfs.maintenance.register_tenant(name, spec.weight)
-        # a tenant namespace is always index-fresh on its own writes: the
-        # watch makes every mutation enqueue (and thus count against the
-        # doc budget and land in the tenant's fair-share bucket) instead
-        # of waiting for a whole-tree ssync
-        self.hacfs.watch(tenant.root)
         return tenant
 
-    def _persist(self) -> None:
+    def _persist(self, name: str, spec: QuotaSpec) -> None:
+        """Write the tenant table with *name*'s budgets set to *spec*."""
+        specs = {n: t.ledger.spec for n, t in self._tenants.items()}
+        specs[name] = spec
         self.hacfs.meta.flush_aux(TENANTS_RECORD, {
-            name: {"quota": t.ledger.spec.to_obj()}
-            for name, t in self._tenants.items()
-        })
+            n: {"quota": q.to_obj()} for n, q in specs.items()})
 
     def reload(self) -> int:
         """Re-attach every persisted tenant (the restore path); usage is
@@ -249,6 +251,7 @@ class TenantManager:
                 continue
             spec = QuotaSpec.from_obj(raw[name].get("quota", {}))
             tenant = self._attach(name, spec)
+            self.hacfs.watch(tenant.root)
             if self.hacfs.fs.isdir(tenant.root):
                 tenant.recount()
         return len(self._tenants)

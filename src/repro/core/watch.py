@@ -43,8 +43,9 @@ class WatchManager:
         ("results reflect every write") holds from this moment on.
         """
         root = self.hacfs._canonical_dir(path)
-        self._roots.add(root)
+        # watched only once the sync lands: a failed sync adds no watch
         self.hacfs.ssync(root)
+        self._roots.add(root)
         self._stats.add("added")
         return root
 

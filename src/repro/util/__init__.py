@@ -19,7 +19,7 @@ data structures the substrates are built from:
 
 from repro.util.bitmap import Bitmap
 from repro.util.clock import VirtualClock
-from repro.util.idmap import GlobalDirectoryMap, UidAllocator
+from repro.util.idmap import GlobalDirectoryMap
 from repro.util.lru import LRUCache
 from repro.util.stats import Counters
 
@@ -27,7 +27,6 @@ __all__ = [
     "Bitmap",
     "VirtualClock",
     "GlobalDirectoryMap",
-    "UidAllocator",
     "LRUCache",
     "Counters",
 ]

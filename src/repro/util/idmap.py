@@ -11,36 +11,55 @@ queries.
 :class:`GlobalDirectoryMap` owns that mapping.  A rename of ``/a`` to ``/b``
 must also re-root every registered path under ``/a`` — the map handles the
 whole subtree in :meth:`rename_subtree`.
+
+On disk the map is not stored as a table: each directory persists its
+parent's UID and its own name (the UNIX directory-entry layout), and
+:func:`compose_paths` derives the path table from those entries.  A rename
+therefore rewrites one entry however large the moved subtree is.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.util import pathutil
 
 
-class UidAllocator:
-    """Monotonic allocator for directory UIDs (never reused)."""
-
-    def __init__(self, start: int = 1):
-        self._counter = itertools.count(start)
-
-    def allocate(self) -> int:
-        return next(self._counter)
+def compose_paths(entries: Dict[int, Tuple[Optional[int], str]]
+                  ) -> Dict[int, str]:
+    """The UID→path table for directories persisted as ``uid → (parent
+    uid, name)`` entries, each path composed up its parent chain.  The root
+    (UID 0) needs no entry; an entry whose chain does not reach the root
+    (a missing parent, a loop) is left out."""
+    paths: Dict[int, str] = {GlobalDirectoryMap.ROOT_UID: "/"}
+    for uid in entries:
+        chain: List[int] = []
+        cur: Optional[int] = uid
+        while cur is not None and cur not in paths and cur in entries \
+                and len(chain) <= len(entries):
+            chain.append(cur)
+            cur = entries[cur][0]
+        base = paths.get(cur) if cur is not None else None
+        if base is None:
+            continue
+        for link in reversed(chain):
+            base = pathutil.join(base, entries[link][1])
+            paths[link] = base
+    return paths
 
 
 class GlobalDirectoryMap:
     """Bidirectional map between directory UIDs and their current paths.
 
     The root directory is always registered with UID 0 at path ``/``.
+    UIDs are never reused: :attr:`next_uid` only grows.
     """
 
     ROOT_UID = 0
 
     def __init__(self):
-        self._alloc = UidAllocator(start=1)
+        #: the UID the next :meth:`register` hands out
+        self.next_uid = 1
         self._uid_to_path: Dict[int, str] = {self.ROOT_UID: "/"}
         self._path_to_uid: Dict[str, int] = {"/": self.ROOT_UID}
 
@@ -51,7 +70,8 @@ class GlobalDirectoryMap:
         norm = pathutil.normalize(path)
         if norm in self._path_to_uid:
             raise ValueError(f"path already registered: {norm}")
-        uid = self._alloc.allocate()
+        uid = self.next_uid
+        self.next_uid += 1
         self._uid_to_path[uid] = norm
         self._path_to_uid[norm] = uid
         return uid
@@ -122,22 +142,25 @@ class GlobalDirectoryMap:
     # -- persistence ----------------------------------------------------------
 
     def snapshot(self) -> Dict[int, str]:
-        """A copy of the UID→path table, for the MetaStore."""
+        """A copy of the UID→path table."""
         return dict(self._uid_to_path)
 
-    def load_snapshot(self, snapshot: Dict[int, str]) -> None:
+    def load_snapshot(self, snapshot: Dict[int, str],
+                      next_uid: int = 0) -> None:
         """Replace the whole table *in place* (rollback/recovery reload).
 
         In place matters: other components hold this map's bound methods
         (``uid_of``/``path_of``), so recovery must mutate the live object
-        rather than swap in a new one.
+        rather than swap in a new one.  The allocator resumes above every
+        loaded UID and at no less than *next_uid*, the persisted high-water
+        mark that keeps a removed top UID from being handed out again.
         """
         self._uid_to_path = dict(snapshot)
         self._path_to_uid = {p: u for u, p in snapshot.items()}
         if self.ROOT_UID not in self._uid_to_path:
             self._uid_to_path[self.ROOT_UID] = "/"
             self._path_to_uid["/"] = self.ROOT_UID
-        self._alloc = UidAllocator(start=max(self._uid_to_path) + 1)
+        self.next_uid = max(max(self._uid_to_path) + 1, next_uid)
 
     @classmethod
     def restore(cls, snapshot: Dict[int, str]) -> "GlobalDirectoryMap":

@@ -137,10 +137,17 @@ class TestOrdering:
         assert graph.affected_order(4) == []
 
 
-class TestPersistence:
-    def test_obj_roundtrip(self, graph):
+class TestDerive:
+    def test_derive_matches_incremental_build(self, graph):
         graph.set_reference_edges(2, [4])
-        restored = DependencyGraph.from_obj(graph.to_obj())
-        assert restored.providers_of(2) == graph.providers_of(2)
-        assert restored.full_order() == graph.full_order()
-        assert restored.dependents_of(3) == graph.dependents_of(3)
+        derived = DependencyGraph.derive({1: ROOT_UID, 2: ROOT_UID, 3: 1,
+                                          4: 3}, {2: [4]})
+        for uid in graph.nodes():
+            assert derived.providers_of(uid) == graph.providers_of(uid)
+            assert derived.dependents_of(uid) == graph.dependents_of(uid)
+        assert derived.full_order() == graph.full_order()
+
+    def test_derive_skips_dangling_references(self):
+        derived = DependencyGraph.derive({1: ROOT_UID}, {1: [ROOT_UID, 77]})
+        assert derived.providers_of(1) == {ROOT_UID: "hierarchy"}
+        assert 77 not in derived

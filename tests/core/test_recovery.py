@@ -67,6 +67,38 @@ class TestEnospcAtomicity:
         assert populated.links("/fp") == before_links
         assert errors(populated) == []
 
+    def test_enospc_anywhere_in_tenant_create_is_atomic(self):
+        def world():
+            hac = HacFileSystem()
+            hac.makedirs("/notes")
+            hac.write_file("/notes/a.txt", b"fingerprint notes\n")
+            hac.ssync("/")
+            return hac
+
+        dry = world()
+        start = dry.fs.device.record_write_index
+        dry.tenants.create("b")
+        n_writes = dry.fs.device.record_write_index - start
+        assert n_writes > 11
+        for offset in range(n_writes):
+            hac = world()
+            dev = hac.fs.device
+            dev.set_fault_plan(
+                FaultPlan(enospc_at={dev.record_write_index + offset}))
+            try:
+                hac.tenants.create("b")
+            except NoSpace:
+                pass
+            else:
+                continue  # a commit-time delete: the tenant landed whole
+            dev.clear_faults()
+            assert errors(hac) == [], (offset, [str(f) for f in hac.fsck()])
+            assert "b" not in hac.tenants, offset
+            assert not hac.exists("/tenants/b"), offset
+            # the instance stays usable: the same create now lands
+            hac.tenants.create("b").write_file("/x.txt", b"fingerprint\n")
+            assert errors(hac) == [], offset
+
     def test_failed_cycle_set_query_rolls_back_cleanly(self, populated):
         from repro.errors import DependencyCycle
 

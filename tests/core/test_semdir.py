@@ -95,8 +95,8 @@ class TestMetaStore:
         assert store.require(2).links.target_of("n2") == Target.local("f", 2)
 
     def test_aux_records(self, store):
-        store.flush_aux("globalmap", {"0": "/"})
-        assert store.load_aux("globalmap") == {"0": "/"}
+        store.flush_aux("uidmark", 7)
+        assert store.load_aux("uidmark") == 7
         assert store.load_aux("absent") is None
 
     def test_metadata_bytes_tracks_store(self, store):

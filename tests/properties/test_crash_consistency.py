@@ -15,6 +15,11 @@ never admitted is a partial one.
 ``CRASH_SWEEP_SEED`` (CI matrix) varies the world layout so the sweep does
 not overfit one record-write schedule.
 
+Restore must also equal live: the global map and the dependency graph are
+derived from per-directory records on reopen, so after every crash point
+the restored map and each directory's providers must equal those of a
+fault-free twin on which the operation was fully applied or fully absent.
+
 The sweep also pins the journal↔trace correlation contract: the crashed
 run captures spans, and every intent the subsequent recovery rolls back
 must match (by journal sequence = span op id) both the root span of the
@@ -36,13 +41,16 @@ SEED = int(os.environ.get("CRASH_SWEEP_SEED", "0"))
 
 def build_world(trace: bool = False) -> HacFileSystem:
     """A small deterministic world: local corpus, one semantic dir, one
-    empty victim dir.  Layout varies slightly with the sweep seed."""
+    empty victim dir, and a three-level tree whose leaf a second semantic
+    dir references.  Layout varies slightly with the sweep seed."""
     hac = HacFileSystem()
     if trace:
         hac.obs.enable()
     hac.makedirs("/docs")
     hac.write_file("/docs/a.txt", b"fingerprint ridge analysis notes\n")
     hac.write_file("/docs/b.txt", b"banana bread recipe\n")
+    hac.makedirs("/proj/sub/leaf")
+    hac.write_file("/proj/sub/leaf/l.txt", b"leaf sample notes\n")
     for i in range(SEED % 3):
         hac.write_file(f"/docs/extra{i}.txt",
                        b"fingerprint extras %d\n" % i)
@@ -51,6 +59,7 @@ def build_world(trace: bool = False) -> HacFileSystem:
     hac.clock.tick()
     hac.ssync("/")
     hac.smkdir("/fp", "fingerprint")
+    hac.smkdir("/leafq", "sample AND /proj/sub/leaf")
     hac.mkdir("/victim")
     return hac
 
@@ -122,6 +131,21 @@ def _state_rename_dir(hac):
     return "partial"
 
 
+def _state_rename_tree(hac):
+    leaf = hac.dirmap.uid_of("/proj2/sub/leaf")
+    if leaf is not None and hac.isdir("/proj2/sub/leaf") \
+            and not hac.exists("/proj") and hac.dirmap.uid_of("/proj") is None \
+            and hac.get_query("/leafq") == "sample AND /proj2/sub/leaf" \
+            and "l.txt" in fp_link_names(hac, "/leafq"):
+        return "applied"
+    if hac.dirmap.uid_of("/proj/sub/leaf") is not None \
+            and hac.isdir("/proj/sub/leaf") and not hac.exists("/proj2") \
+            and hac.get_query("/leafq") == "sample AND /proj/sub/leaf" \
+            and "l.txt" in fp_link_names(hac, "/leafq"):
+        return "absent"
+    return "partial"
+
+
 def _state_rename_file(hac):
     at_new = hac.isfile("/docs/a2.txt")
     at_old = hac.isfile("/docs/a.txt")
@@ -147,6 +171,9 @@ OPERATIONS = {
     "rename_dir": (lambda h: h.rename("/fp", "/fp2"), _state_rename_dir),
     "rename_file": (lambda h: h.rename("/docs/a.txt", "/docs/a2.txt"),
                     _state_rename_file),
+    # a subtree move: one directory entry rewritten, the grandchild's path
+    # (and the query that references it) follow on reopen
+    "rename_tree": (lambda h: h.rename("/proj", "/proj2"), _state_rename_tree),
     "ssync": (lambda h: (h.write_file("/docs/c.txt", b"late fingerprint\n"),
                          h.clock.tick(), h.ssync("/")),
               _state_always_applied),
@@ -156,6 +183,23 @@ OPERATIONS = {
                            h.clock.tick(), h.reindex("/")),
                 _state_always_applied),
 }
+
+
+def _layout(hac):
+    """What the reopen derives: the UID→path map and every directory's
+    providers in the dependency graph."""
+    return (hac.dirmap.snapshot(),
+            {uid: hac.depgraph.providers_of(uid)
+             for uid in hac.depgraph.nodes()})
+
+
+def _twin_layouts(op_name):
+    """The layouts of fault-free twins with *op_name* absent and applied."""
+    mutate, _state = OPERATIONS[op_name]
+    absent = build_world()
+    applied = build_world()
+    mutate(applied)
+    return [_layout(absent), _layout(applied)]
 
 
 def _writes_used(op_name) -> int:
@@ -194,6 +238,7 @@ def test_crash_sweep(op_name):
     mutate, state_of = OPERATIONS[op_name]
     n_writes = _writes_used(op_name)
     assert n_writes > 0, f"{op_name} is not journaled (no record writes)"
+    twins = _twin_layouts(op_name)
     rollbacks_seen = 0
     for offset in range(n_writes):
         hac = build_world(trace=True)
@@ -212,6 +257,7 @@ def test_crash_sweep(op_name):
         assert errors == [], (op_name, offset, [str(f) for f in errors])
         state = state_of(restored)
         assert state != "partial", (op_name, offset)
+        assert _layout(restored) in twins, (op_name, offset)
         _assert_rollbacks_correlate(op_name, offset, hac, recovery_obs,
                                     restored.last_recovery)
         rollbacks_seen += len(restored.last_recovery.rolled_back)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.idmap import GlobalDirectoryMap
+from repro.util.idmap import GlobalDirectoryMap, compose_paths
 
 
 @pytest.fixture
@@ -94,3 +94,14 @@ class TestSubtreeAndSnapshot:
     def test_restore_reinstates_root(self):
         restored = GlobalDirectoryMap.restore({5: "/only"})
         assert restored.uid_of("/") == 0
+
+
+class TestComposePaths:
+    def test_paths_compose_up_the_parent_chain(self):
+        entries = {3: (1, "c"), 1: (0, "a"), 2: (1, "b")}
+        assert compose_paths(entries) == {0: "/", 1: "/a", 2: "/a/b",
+                                          3: "/a/c"}
+
+    def test_entries_that_miss_the_root_are_left_out(self):
+        entries = {1: (0, "a"), 2: (9, "orphan"), 4: (5, "x"), 5: (4, "y")}
+        assert compose_paths(entries) == {0: "/", 1: "/a"}
